@@ -89,6 +89,14 @@ pub enum RuntimeError {
         /// The attempt number that aborted.
         attempt: u64,
     },
+    /// A message was refused before sending because its encoding exceeds
+    /// what the transport can carry in one frame.
+    PayloadTooLarge {
+        /// Encoded payload size.
+        bytes: usize,
+        /// The transport's per-message limit.
+        max: usize,
+    },
 }
 
 impl RuntimeError {
@@ -161,6 +169,9 @@ impl fmt::Display for RuntimeError {
                     "membership reconfiguration attempt {attempt} (proposed context {context}) \
                      aborted; the old communicator remains valid"
                 )
+            }
+            RuntimeError::PayloadTooLarge { bytes, max } => {
+                write!(f, "encoded payload of {bytes} bytes exceeds the {max}-byte message limit")
             }
         }
     }

@@ -405,10 +405,15 @@ impl PlaneShared {
         // Admission control: bounded queue, bounded in-flight budget.
         let mut q = shard.queue.lock();
         let depth = q.len() as u64;
+        let outstanding = shard.inflight.load(Ordering::Acquire);
         if depth >= self.policy.shard_queue as u64
-            || shard.inflight.load(Ordering::Acquire) >= self.policy.inflight_budget as u64
+            || outstanding >= self.policy.inflight_budget as u64
         {
             drop(q);
+            // The NACK reports the shard's outstanding load: a request the
+            // in-flight budget sheds finds the queue already drained into
+            // the running batch, so the queue length alone would read 0.
+            let load = depth.max(outstanding);
             {
                 let mut inflight = ctl.inflight.lock();
                 *inflight -= 1;
@@ -416,9 +421,9 @@ impl PlaneShared {
             }
             shard.stats.shed_admission.fetch_add(1, Ordering::Relaxed);
             shard.stats.replies.fetch_add(1, Ordering::Relaxed);
-            mxn_trace::emit_instant(EventId::ServeOverload, [ctl.shard as u64, conn, depth, 0]);
+            mxn_trace::emit_instant(EventId::ServeOverload, [ctl.shard as u64, conn, load, 0]);
             let outcome = ServeOutcome::Overloaded {
-                queue_depth: depth as u32,
+                queue_depth: load as u32,
                 reason: ShedReason::AdmissionFull,
             };
             self.mailbox.push(self.reply_envelope(

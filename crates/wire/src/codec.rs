@@ -89,6 +89,26 @@ pub trait WireCodec: Sized {
     fn encode(&self, out: &mut Vec<u8>);
     /// Decodes one value off the front of `input`, advancing it.
     fn decode(input: &mut &[u8]) -> Result<Self, CodecError>;
+
+    /// Appends the encodings of `items` back to back (the body of a
+    /// `Vec<Self>`). Fixed-width scalars override this with one bulk pass.
+    fn encode_slice(items: &[Self], out: &mut Vec<u8>) {
+        for v in items {
+            v.encode(out);
+        }
+    }
+
+    /// Decodes `count` values off the front of `input` (the body of a
+    /// `Vec<Self>`). Fixed-width scalars override this with one bulk pass.
+    fn decode_vec(count: usize, input: &mut &[u8]) -> Result<Vec<Self>, CodecError> {
+        // No speculative reservation: a corrupt count must hit `Truncated`
+        // while decoding elements, not allocate gigabytes up front.
+        let mut out = Vec::new();
+        for _ in 0..count {
+            out.push(Self::decode(input)?);
+        }
+        Ok(out)
+    }
 }
 
 macro_rules! int_codec {
@@ -101,6 +121,25 @@ macro_rules! int_codec {
                 let n = std::mem::size_of::<$t>();
                 let bytes = take(input, n)?;
                 Ok(<$t>::from_le_bytes(bytes.try_into().expect("take returned n bytes")))
+            }
+            fn encode_slice(items: &[Self], out: &mut Vec<u8>) {
+                const W: usize = std::mem::size_of::<$t>();
+                let start = out.len();
+                out.resize(start + items.len() * W, 0);
+                for (dst, v) in out[start..].chunks_exact_mut(W).zip(items) {
+                    dst.copy_from_slice(&v.to_le_bytes());
+                }
+            }
+            fn decode_vec(count: usize, input: &mut &[u8]) -> Result<Vec<Self>, CodecError> {
+                const W: usize = std::mem::size_of::<$t>();
+                // The whole body is checked against the remaining input
+                // before anything is allocated.
+                let needed = count.checked_mul(W).unwrap_or(usize::MAX);
+                let bytes = take(input, needed)?;
+                Ok(bytes
+                    .chunks_exact(W)
+                    .map(|c| <$t>::from_le_bytes(c.try_into().expect("chunks_exact yields W bytes")))
+                    .collect())
             }
         }
     )*};
@@ -147,34 +186,14 @@ impl WireCodec for String {
     }
 }
 
-impl<T: WireCodec + Any> WireCodec for Vec<T> {
+impl<T: WireCodec> WireCodec for Vec<T> {
     fn encode(&self, out: &mut Vec<u8>) {
         (self.len() as u32).encode(out);
-        // Bulk fast path for byte vectors: element-wise encoding costs a
-        // call per byte, which dominates large-payload wire bandwidth.
-        if let Some(bytes) = (self as &dyn Any).downcast_ref::<Vec<u8>>() {
-            out.extend_from_slice(bytes);
-            return;
-        }
-        for v in self {
-            v.encode(out);
-        }
+        T::encode_slice(self, out);
     }
     fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
         let count = u32::decode(input)? as usize;
-        if TypeId::of::<T>() == TypeId::of::<u8>() {
-            let raw = take(input, count)?.to_vec();
-            return Ok(*(Box::new(raw) as Box<dyn Any>)
-                .downcast::<Vec<T>>()
-                .expect("T = u8 just checked"));
-        }
-        // No speculative reservation: a corrupt count must hit `Truncated`
-        // while decoding elements, not allocate gigabytes up front.
-        let mut out = Vec::new();
-        for _ in 0..count {
-            out.push(T::decode(input)?);
-        }
-        Ok(out)
+        T::decode_vec(count, input)
     }
 }
 
@@ -305,17 +324,19 @@ impl CodecRegistry {
     /// Encodes a type-erased payload, returning its tag and bytes, or
     /// `None` if the concrete type was never registered.
     pub fn encode_any(&self, value: &dyn Any) -> Option<(u32, Vec<u8>)> {
-        let (tag, enc) = self.by_type.get(&value.type_id())?;
         let mut out = Vec::new();
-        let matched = enc(value, &mut out);
-        debug_assert!(matched, "TypeId lookup and downcast must agree");
-        matched.then_some((*tag, out))
+        self.encode_any_into(value, &mut out).map(|tag| (tag, out))
     }
 
-    /// Encodes a typed value directly (the non-erased fast path).
-    pub fn encode_typed<T: WireCodec + Any + Send>(&self, value: &T) -> Option<(u32, Vec<u8>)> {
-        let (tag, _) = self.by_type.get(&TypeId::of::<T>())?;
-        Some((*tag, encode_value(value)))
+    /// Appends the encoding of a type-erased payload to `out` and returns
+    /// its tag, or `None` (leaving `out` as it was) if the concrete type was
+    /// never registered. The wire's send path encodes straight into the
+    /// frame buffer this way.
+    pub fn encode_any_into(&self, value: &dyn Any, out: &mut Vec<u8>) -> Option<u32> {
+        let (tag, enc) = self.by_type.get(&value.type_id())?;
+        let matched = enc(value, out);
+        debug_assert!(matched, "TypeId lookup and downcast must agree");
+        matched.then_some(*tag)
     }
 
     /// Decodes payload bytes under `tag` back into a type-erased box.
@@ -359,11 +380,45 @@ mod tests {
         roundtrip((1u64, 2u64, String::from("x")));
     }
 
+    /// Round-trips `v` and checks every truncation of its encoding fails
+    /// with `Truncated`. Compares encodings, so NaN payloads count too.
+    fn bulk_case<T: WireCodec>(v: Vec<T>) {
+        let bytes = encode_value(&v);
+        assert_eq!(bytes.len(), 4 + v.len() * std::mem::size_of::<T>(), "fixed width");
+        let back = decode_value::<Vec<T>>(&bytes).expect("own encoding decodes");
+        assert_eq!(encode_value(&back), bytes, "round trip");
+        for cut in 0..bytes.len() {
+            let r = decode_value::<Vec<T>>(&bytes[..cut]);
+            assert!(matches!(r, Err(CodecError::Truncated { .. })), "cut={cut}");
+        }
+    }
+
+    #[test]
+    fn fixed_width_vectors_roundtrip() {
+        bulk_case(vec![0u8, 1, 0x7f, 0xff]);
+        bulk_case(vec![0u16, 0x1234, u16::MAX]);
+        bulk_case(vec![0u32, 0xdead_beef, u32::MAX]);
+        bulk_case(vec![0u64, 0x0123_4567_89ab_cdef, u64::MAX]);
+        bulk_case(vec![i8::MIN, -1, 0, i8::MAX]);
+        bulk_case(vec![i16::MIN, -1, i16::MAX]);
+        bulk_case(vec![i32::MIN, -7, i32::MAX]);
+        bulk_case(vec![i64::MIN, -7, i64::MAX]);
+        bulk_case(vec![-0.0f32, f32::MIN_POSITIVE, f32::NAN, f32::INFINITY]);
+        bulk_case(vec![-0.0f64, f64::MIN_POSITIVE, f64::from_bits(0x7ff8_dead_beef_0001)]);
+        bulk_case(Vec::<f64>::new());
+        assert_eq!(encode_value(&vec![1u16, 2]), [2, 0, 0, 0, 1, 0, 2, 0], "little-endian");
+    }
+
     #[test]
     fn truncation_is_an_error_not_a_panic() {
         let bytes = encode_value(&vec![1u64, 2, 3]);
         for cut in 0..bytes.len() {
             let r = decode_value::<Vec<u64>>(&bytes[..cut]);
+            assert!(matches!(r, Err(CodecError::Truncated { .. })), "cut={cut}: {r:?}");
+        }
+        let bytes = encode_value(&vec![(1usize, 2.5f64)]);
+        for cut in 0..bytes.len() {
+            let r = decode_value::<Vec<(usize, f64)>>(&bytes[..cut]);
             assert!(matches!(r, Err(CodecError::Truncated { .. })), "cut={cut}: {r:?}");
         }
     }
@@ -381,6 +436,8 @@ mod tests {
         let mut bytes = Vec::new();
         u32::MAX.encode(&mut bytes);
         assert!(matches!(decode_value::<Vec<u64>>(&bytes), Err(CodecError::Truncated { .. })));
+        assert!(matches!(decode_value::<Vec<f64>>(&bytes), Err(CodecError::Truncated { .. })));
+        assert!(matches!(decode_value::<Vec<u8>>(&bytes), Err(CodecError::Truncated { .. })));
     }
 
     #[test]

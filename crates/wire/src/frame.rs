@@ -26,6 +26,12 @@
 //! fails the [`FrameReader`] *resynchronizes* by scanning for the next
 //! `MAGIC`, so one damaged frame costs one frame — never the rest of the
 //! stream, and never a panic.
+//!
+//! A data frame's payload lives in one buffer on either side. A sender
+//! builds the frame in a [`FrameBuf`]: the codec appends the payload behind
+//! a reserved header, and sealing writes the header and both CRCs in place.
+//! A [`FrameReader`] reads an accepted frame's payload straight into the
+//! buffer the decoded [`Frame`] then owns.
 
 use crate::crc::crc32;
 
@@ -104,21 +110,86 @@ impl Frame {
 
     /// Serializes the frame, stamping both CRCs.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(HEADER_LEN + self.payload.len() + 4);
-        out.extend_from_slice(&MAGIC);
-        out.push(self.kind as u8);
-        out.extend_from_slice(&[0; 3]);
-        out.extend_from_slice(&self.src.to_le_bytes());
-        out.extend_from_slice(&self.context.to_le_bytes());
-        out.extend_from_slice(&self.tag.to_le_bytes());
-        out.extend_from_slice(&self.seq.to_le_bytes());
-        out.extend_from_slice(&self.codec.to_le_bytes());
-        out.extend_from_slice(&(self.payload.len() as u32).to_le_bytes());
-        let hcrc = crc32(&out);
-        out.extend_from_slice(&hcrc.to_le_bytes());
-        out.extend_from_slice(&self.payload);
-        out.extend_from_slice(&crc32(&self.payload).to_le_bytes());
-        out
+        FrameBuf::from_payload(&self.payload).seal(
+            self.kind,
+            self.src,
+            self.context,
+            self.tag,
+            self.seq,
+            self.codec,
+        )
+    }
+}
+
+/// One outgoing frame built in a single buffer: `HEADER_LEN` reserved
+/// bytes, then the payload appended behind them. Sending it (see
+/// [`LinkSender::send_data`](crate::link::LinkSender::send_data)) fills in
+/// the header and appends the payload CRC without moving the payload.
+#[derive(Debug)]
+pub struct FrameBuf {
+    bytes: Vec<u8>,
+}
+
+impl Default for FrameBuf {
+    fn default() -> Self {
+        FrameBuf { bytes: vec![0; HEADER_LEN] }
+    }
+}
+
+impl FrameBuf {
+    /// An empty payload behind a reserved header.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// A buffer holding a copy of `payload`.
+    pub fn from_payload(payload: &[u8]) -> Self {
+        let mut bytes = Vec::with_capacity(HEADER_LEN + payload.len() + 4);
+        bytes.resize(HEADER_LEN, 0);
+        bytes.extend_from_slice(payload);
+        FrameBuf { bytes }
+    }
+
+    /// The payload appended so far.
+    pub fn payload(&self) -> &[u8] {
+        &self.bytes[HEADER_LEN..]
+    }
+
+    /// The buffer the codec appends the payload to. Callers append only:
+    /// the first `HEADER_LEN` bytes belong to [`FrameBuf::seal`].
+    pub(crate) fn append_to(&mut self) -> &mut Vec<u8> {
+        &mut self.bytes
+    }
+
+    /// Writes the header (with its CRC) into the reserved bytes, appends
+    /// the payload CRC, and returns the finished frame. A payload longer
+    /// than [`MAX_PAYLOAD`] yields a frame every reader rejects, so
+    /// senders check the length first.
+    pub(crate) fn seal(
+        mut self,
+        kind: FrameKind,
+        src: u32,
+        context: u32,
+        tag: i32,
+        seq: u64,
+        codec: u32,
+    ) -> Vec<u8> {
+        let payload_len = self.bytes.len() - HEADER_LEN;
+        let h = &mut self.bytes[..HEADER_LEN];
+        h[0..4].copy_from_slice(&MAGIC);
+        h[4..8].copy_from_slice(&[kind as u8, 0, 0, 0]);
+        h[8..12].copy_from_slice(&src.to_le_bytes());
+        h[12..16].copy_from_slice(&context.to_le_bytes());
+        h[16..20].copy_from_slice(&tag.to_le_bytes());
+        h[20..28].copy_from_slice(&seq.to_le_bytes());
+        h[28..32].copy_from_slice(&codec.to_le_bytes());
+        h[32..36].copy_from_slice(&u32::try_from(payload_len).unwrap_or(u32::MAX).to_le_bytes());
+        let hcrc = crc32(&h[..36]);
+        h[36..40].copy_from_slice(&hcrc.to_le_bytes());
+        let pcrc = crc32(&self.bytes[HEADER_LEN..]);
+        self.bytes.reserve_exact(4);
+        self.bytes.extend_from_slice(&pcrc.to_le_bytes());
+        self.bytes
     }
 }
 
@@ -162,7 +233,28 @@ pub enum FrameError {
 /// followed by successful resync on the next intact frame.
 #[derive(Default)]
 pub struct FrameReader {
+    /// Stream bytes no accepted header has claimed yet: scanned for the
+    /// magic and parsed as headers. Empty while `body` is incomplete.
     buf: Vec<u8>,
+    /// The frame whose header passed its CRC, gathering its payload.
+    body: Option<Body>,
+}
+
+/// An accepted header and the payload bytes (then the payload CRC)
+/// gathered for it so far, in the buffer the decoded frame will own.
+struct Body {
+    kind: FrameKind,
+    codec: u32,
+    header: CorruptHeader,
+    /// Grows to `payload_len + 4` bytes, its capacity.
+    bytes: Vec<u8>,
+    payload_len: usize,
+}
+
+impl Body {
+    fn missing(&self) -> usize {
+        self.payload_len + 4 - self.bytes.len()
+    }
 }
 
 impl FrameReader {
@@ -171,14 +263,20 @@ impl FrameReader {
         Self::default()
     }
 
-    /// Appends raw bytes from the stream.
-    pub fn feed(&mut self, bytes: &[u8]) {
+    /// Appends raw bytes from the stream. Bytes of an accepted frame's
+    /// payload go straight into the buffer the decoded frame will own.
+    pub fn feed(&mut self, mut bytes: &[u8]) {
+        if let Some(body) = &mut self.body {
+            let n = body.missing().min(bytes.len());
+            body.bytes.extend_from_slice(&bytes[..n]);
+            bytes = &bytes[n..];
+        }
         self.buf.extend_from_slice(bytes);
     }
 
     /// Bytes currently buffered (complete or partial frames).
     pub fn buffered(&self) -> usize {
-        self.buf.len()
+        self.buf.len() + self.body.as_ref().map_or(0, |b| HEADER_LEN + b.bytes.len())
     }
 
     /// Scans to the next `MAGIC`, returning how many bytes were dropped.
@@ -202,6 +300,42 @@ impl FrameReader {
     /// more bytes are needed.
     #[allow(clippy::should_implement_trait)] // pull-style API, deliberately not an Iterator
     pub fn next(&mut self) -> Option<Result<Frame, FrameError>> {
+        if self.body.is_none() {
+            if let Err(e) = self.accept_header()? {
+                return Some(Err(e));
+            }
+        }
+        if self.body.as_ref()?.missing() > 0 {
+            return None;
+        }
+        let Body { kind, codec, header, mut bytes, payload_len } =
+            self.body.take().expect("checked above");
+        let stored_pcrc = read_u32(&bytes[payload_len..]);
+        bytes.truncate(payload_len);
+        if crc32(&bytes) != stored_pcrc {
+            // Header was sound, so the whole (length-delimited) frame
+            // is discarded in one step: stream stays in sync.
+            return Some(Err(FrameError::Corrupt {
+                skipped: HEADER_LEN + payload_len + 4,
+                header: Some(header),
+                reason: "damaged frame payload",
+            }));
+        }
+        Some(Ok(Frame {
+            kind,
+            src: header.src,
+            context: header.context,
+            tag: header.tag,
+            seq: header.seq,
+            codec,
+            payload: bytes,
+        }))
+    }
+
+    /// Parses the header at the front of `buf` and starts its body, moving
+    /// any payload bytes already buffered into it. `None` when more bytes
+    /// are needed; `Some(Err)` reports bytes dropped while resyncing.
+    fn accept_header(&mut self) -> Option<Result<(), FrameError>> {
         if self.buf.len() < 4 {
             // A partial magic prefix stays buffered; junk is dropped.
             if !MAGIC.starts_with(&self.buf) {
@@ -228,52 +362,45 @@ impl FrameReader {
             return None;
         }
         let stored_hcrc = read_u32(&self.buf[36..40]);
-        let kind = FrameKind::from_u8(self.buf[4]);
         let payload_len = read_u32(&self.buf[32..36]) as usize;
-        if crc32(&self.buf[..36]) != stored_hcrc || kind.is_none() || payload_len > MAX_PAYLOAD {
-            // The "magic" was a lie (or the header was hit): drop one
-            // byte and rescan so a real frame hiding behind it is found.
-            self.buf.drain(..1);
-            let skipped = 1 + self.resync();
-            return Some(Err(FrameError::Corrupt {
-                skipped,
-                header: None,
-                reason: "damaged frame header",
-            }));
-        }
-        let total = HEADER_LEN + payload_len + 4;
-        if self.buf.len() < total {
-            return None;
-        }
+        let kind = match FrameKind::from_u8(self.buf[4]) {
+            Some(kind) if crc32(&self.buf[..36]) == stored_hcrc && payload_len <= MAX_PAYLOAD => {
+                kind
+            }
+            _ => {
+                // The "magic" was a lie (or the header was hit): drop one
+                // byte and rescan so a real frame hiding behind it is found.
+                self.buf.drain(..1);
+                let skipped = 1 + self.resync();
+                return Some(Err(FrameError::Corrupt {
+                    skipped,
+                    header: None,
+                    reason: "damaged frame header",
+                }));
+            }
+        };
         let header = CorruptHeader {
             src: read_u32(&self.buf[8..12]),
             context: read_u32(&self.buf[12..16]),
             tag: read_u32(&self.buf[16..20]) as i32,
             seq: read_u64(&self.buf[20..28]),
         };
-        let payload = &self.buf[HEADER_LEN..HEADER_LEN + payload_len];
-        let stored_pcrc = read_u32(&self.buf[HEADER_LEN + payload_len..total]);
-        if crc32(payload) != stored_pcrc {
-            // Header was sound, so the whole (length-delimited) frame
-            // can be discarded in one step: stream stays in sync.
-            self.buf.drain(..total);
-            return Some(Err(FrameError::Corrupt {
-                skipped: total,
-                header: Some(header),
-                reason: "damaged frame payload",
-            }));
-        }
-        let frame = Frame {
-            kind: kind.expect("checked above"),
-            src: header.src,
-            context: header.context,
-            tag: header.tag,
-            seq: header.seq,
-            codec: read_u32(&self.buf[28..32]),
-            payload: payload.to_vec(),
+        let codec = read_u32(&self.buf[28..32]);
+        let total = HEADER_LEN + payload_len + 4;
+        let bytes = if self.buf.len() == total {
+            // The buffer holds exactly this frame: it becomes the payload.
+            let mut bytes = std::mem::take(&mut self.buf);
+            bytes.drain(..HEADER_LEN);
+            bytes
+        } else {
+            let end = self.buf.len().min(total);
+            let mut bytes = Vec::with_capacity(payload_len + 4);
+            bytes.extend_from_slice(&self.buf[HEADER_LEN..end]);
+            self.buf.drain(..end);
+            bytes
         };
-        self.buf.drain(..total);
-        Some(Ok(frame))
+        self.body = Some(Body { kind, codec, header, bytes, payload_len });
+        Some(Ok(()))
     }
 }
 
@@ -324,6 +451,28 @@ mod tests {
             }
         }
         assert_eq!(got, frames);
+    }
+
+    #[test]
+    fn chunked_feeding_fills_payloads_across_frames() {
+        let big: Vec<u8> = (0..5000u32).map(|i| (i * 7) as u8).collect();
+        let frames = [data_frame(1, b"a"), data_frame(2, &big), data_frame(3, b"tail")];
+        let mut bytes: Vec<u8> = frames.iter().flat_map(|f| f.encode()).collect();
+        let big_payload = frames[0].encode().len() + HEADER_LEN;
+        bytes[big_payload + 100] ^= 1;
+        let mut r = FrameReader::new();
+        let mut got = Vec::new();
+        for chunk in bytes.chunks(7) {
+            r.feed(chunk);
+            while let Some(res) = r.next() {
+                got.push(res);
+            }
+        }
+        assert_eq!(got.len(), 3);
+        assert_eq!(got[0], Ok(frames[0].clone()));
+        assert!(matches!(&got[1], Err(FrameError::Corrupt { header: Some(h), .. }) if h.seq == 2));
+        assert_eq!(got[2], Ok(frames[2].clone()));
+        assert_eq!(r.buffered(), 0);
     }
 
     #[test]
@@ -401,6 +550,46 @@ mod tests {
         assert_eq!(r.next(), None, "incomplete frame waits for more bytes");
         r.feed(&bytes[bytes.len() - 3..]);
         assert_eq!(r.next(), Some(Ok(f)));
+    }
+
+    /// Frames as the original byte-at-a-time encoder wrote them: a data
+    /// frame long enough for the folding CRC path, and a `Hello`.
+    const PINNED_DATA: [u8; 144] = [
+        0x4d, 0x78, 0x4e, 0x31, 0x01, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x07, 0x00, 0x00,
+        0x00, 0xfe, 0xff, 0xff, 0xff, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01, 0x00, 0x00, 0x0f, 0x00,
+        0x00, 0x00, 0x64, 0x00, 0x00, 0x00, 0xc0, 0x80, 0x9a, 0x9c, 0x0c, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x10, 0xc0, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0xc0,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf0, 0xbf, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xe0,
+        0x3f, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x40, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x0c, 0x40, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x14, 0x40, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x1a, 0x40, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x20, 0x40, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x23, 0x40, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x26, 0x40, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x29, 0x40, 0x36, 0x1b, 0x34, 0xcc,
+    ];
+    const PINNED_HELLO: [u8; 60] = [
+        0x4d, 0x78, 0x4e, 0x31, 0x03, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x10, 0x00, 0x00, 0x00, 0x2e, 0x4f, 0xd9, 0xd7, 0xed, 0xfe, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x0c, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x52, 0x4e, 0x4a, 0x72,
+    ];
+
+    #[test]
+    fn pinned_frames_decode_and_reencode_byte_identically() {
+        let values: Vec<f64> = (0..12).map(|i| i as f64 * 1.5 - 4.0).collect();
+        let mut r = FrameReader::new();
+        r.feed(&PINNED_DATA);
+        r.feed(&PINNED_HELLO);
+        let data = r.next().unwrap().expect("pinned data frame decodes");
+        assert_eq!(
+            (data.kind, data.src, data.context, data.tag, data.seq, data.codec),
+            (FrameKind::Data, 3, 7, -2, 0x0102_0304_0506, 15)
+        );
+        assert_eq!(crate::codec::decode_value::<Vec<f64>>(&data.payload).unwrap(), values);
+        assert_eq!(data.encode(), PINNED_DATA);
+        let hello = r.next().unwrap().expect("pinned hello decodes");
+        assert_eq!(crate::codec::decode_value::<(u64, u64)>(&hello.payload).unwrap(), (0xfeed, 12));
+        assert_eq!(hello.encode(), PINNED_HELLO);
+        assert_eq!(r.next(), None);
     }
 
     #[test]

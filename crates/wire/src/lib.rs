@@ -10,7 +10,8 @@
 //!
 //! Layers, bottom to top:
 //!
-//! * [`crc`] — CRC-32 (the IEEE polynomial, table-driven, const-built).
+//! * [`crc`] — CRC-32 (the IEEE polynomial): carry-less-multiply folding
+//!   where the CPU has it, a const-built table otherwise.
 //! * [`codec`] — [`codec::WireCodec`], byte serialization for payloads
 //!   that cross a process boundary, plus the [`codec::CodecRegistry`]
 //!   mapping `TypeId` ⇄ wire tag. `Payload::Shared` deliberately has no
@@ -54,7 +55,7 @@ pub mod process;
 pub use codec::{decode_value, encode_value, CodecError, CodecRegistry, WireCodec};
 pub use crc::crc32;
 pub use fault::{WireFaults, WireVerdict};
-pub use frame::{Frame, FrameError, FrameKind, FrameReader, HEADER_LEN, MAX_PAYLOAD};
+pub use frame::{Frame, FrameBuf, FrameError, FrameKind, FrameReader, HEADER_LEN, MAX_PAYLOAD};
 pub use link::{LinkSender, RING_FRAMES};
 pub use mux::{
     ConnId, MuxClient, MuxHandler, MuxReplier, MuxRequest, MuxResponse, MuxServer, MuxStatus,
@@ -64,6 +65,4 @@ pub use node::{
     UdsTransport, WireConfig, WireNode, WireStats, JOIN_OFFER_TAG, JOIN_REQ_TAG, JOIN_STATE_TAG,
     WIRE_CTRL_CONTEXT,
 };
-pub use process::{
-    spawn_spare, spawn_worker, spawn_worker_max, wire_role, WireRole, WorkerGuard,
-};
+pub use process::{spawn_spare, spawn_worker, spawn_worker_max, wire_role, WireRole, WorkerGuard};

@@ -16,7 +16,7 @@ use std::os::unix::net::UnixStream;
 
 use crate::codec::encode_value;
 use crate::fault::{WireFaults, WireVerdict};
-use crate::frame::{Frame, FrameKind};
+use crate::frame::{Frame, FrameBuf, FrameKind, MAX_PAYLOAD};
 
 /// Data frames retained for session-resume redelivery. A peer that falls
 /// further behind than this cannot be resumed and will surface message
@@ -33,7 +33,9 @@ pub struct LinkSender {
     dst: u32,
     /// Next data sequence number to assign (first frame gets 1).
     next_seq: u64,
-    /// Recently sent data frames, encoded clean (pre-fault), seq-ordered.
+    /// Recently sent data frames, sealed clean (pre-fault), seq-ordered.
+    /// Each is the buffer the payload was encoded into; writes and
+    /// resends go out from it.
     ring: VecDeque<(u64, Vec<u8>)>,
     /// Monotone send-attempt counter keying fault draws; retransmissions
     /// advance it so a retried frame gets a fresh fate.
@@ -94,42 +96,39 @@ impl LinkSender {
     }
 
     /// Sends one application message: assigns the next sequence number,
-    /// retains the clean encoding in the ring, then writes it through the
-    /// fault plane. Returns the assigned sequence number.
+    /// seals `frame` in place, retains it in the ring, then writes it
+    /// through the fault plane. Returns the assigned sequence number. A
+    /// payload over [`MAX_PAYLOAD`] is refused with `InvalidInput` before
+    /// it is sequenced.
     pub fn send_data(
         &mut self,
         context: u32,
         tag: i32,
         codec: u32,
-        payload: Vec<u8>,
+        frame: FrameBuf,
     ) -> io::Result<u64> {
+        if frame.payload().len() > MAX_PAYLOAD {
+            return Err(io::Error::new(io::ErrorKind::InvalidInput, "payload over MAX_PAYLOAD"));
+        }
         let seq = self.next_seq;
         self.next_seq += 1;
-        let frame =
-            Frame { kind: FrameKind::Data, src: self.src, context, tag, seq, codec, payload };
-        let bytes = frame.encode();
+        let bytes = frame.seal(FrameKind::Data, self.src, context, tag, seq, codec);
         if self.ring.len() == RING_FRAMES {
             self.ring.pop_front();
         }
-        self.ring.push_back((seq, bytes.clone()));
-        self.write_through_faults(bytes)?;
+        self.ring.push_back((seq, bytes));
+        self.write_retained(self.ring.len() - 1)?;
         Ok(seq)
     }
 
     /// Replays every retained data frame with `seq > last_recv` (session
     /// resume). Replays go through the fault plane with fresh draws.
     pub fn resend_since(&mut self, last_recv: u64) -> io::Result<usize> {
-        let pending: Vec<Vec<u8>> = self
-            .ring
-            .iter()
-            .filter(|(seq, _)| *seq > last_recv)
-            .map(|(_, bytes)| bytes.clone())
-            .collect();
-        let n = pending.len();
-        for bytes in pending {
-            self.write_through_faults(bytes)?;
+        let first = self.ring.partition_point(|(seq, _)| *seq <= last_recv);
+        for i in first..self.ring.len() {
+            self.write_retained(i)?;
         }
-        Ok(n)
+        Ok(self.ring.len() - first)
     }
 
     /// Sends a control frame: unsequenced, unretained, never faulted.
@@ -165,26 +164,36 @@ impl LinkSender {
     }
 
     fn write_clean(&mut self, bytes: Vec<u8>) -> io::Result<()> {
-        let stream = self
-            .stream
-            .as_mut()
-            .ok_or_else(|| io::Error::new(io::ErrorKind::NotConnected, "link detached"))?;
-        stream.write_all(&bytes)
+        write_to(&mut self.stream, &bytes)
     }
 
-    fn write_through_faults(&mut self, mut bytes: Vec<u8>) -> io::Result<()> {
+    /// Writes ring entry `i` through the fault plane. Only a bit flip
+    /// copies the frame, so the ring keeps the clean bytes for resends.
+    fn write_retained(&mut self, i: usize) -> io::Result<()> {
+        let len = self.ring[i].1.len();
         if self.armed {
             let attempt = self.attempts;
             self.attempts += 1;
-            match self.faults.judge(self.src, self.dst, attempt, bytes.len()) {
+            match self.faults.judge(self.src, self.dst, attempt, len) {
                 WireVerdict::Deliver => {}
                 WireVerdict::Drop => return Ok(()), // "lost in flight"
-                WireVerdict::FlipBit(bit) => bytes[bit / 8] ^= 1 << (bit % 8),
+                WireVerdict::FlipBit(bit) => {
+                    let mut damaged = self.ring[i].1.clone();
+                    damaged[bit / 8] ^= 1 << (bit % 8);
+                    return write_to(&mut self.stream, &damaged);
+                }
                 WireVerdict::Delay(d) => std::thread::sleep(d),
             }
         }
-        self.write_clean(bytes)
+        write_to(&mut self.stream, &self.ring[i].1)
     }
+}
+
+fn write_to(stream: &mut Option<UnixStream>, bytes: &[u8]) -> io::Result<()> {
+    stream
+        .as_mut()
+        .ok_or_else(|| io::Error::new(io::ErrorKind::NotConnected, "link detached"))?
+        .write_all(bytes)
 }
 
 #[cfg(test)]
@@ -220,8 +229,8 @@ mod tests {
         let (tx, mut rx) = pair();
         let mut s = LinkSender::new(0, 1, WireFaults::none());
         s.attach(tx);
-        assert_eq!(s.send_data(5, 9, 1, vec![]).unwrap(), 1);
-        assert_eq!(s.send_data(5, 9, 1, vec![0xab]).unwrap(), 2);
+        assert_eq!(s.send_data(5, 9, 1, FrameBuf::new()).unwrap(), 1);
+        assert_eq!(s.send_data(5, 9, 1, FrameBuf::from_payload(&[0xab])).unwrap(), 2);
         let mut fr = FrameReader::new();
         let got = drain(&mut rx, &mut fr);
         let seqs: Vec<u64> = got.iter().map(|r| r.as_ref().unwrap().seq).collect();
@@ -234,7 +243,7 @@ mod tests {
         let mut s = LinkSender::new(2, 3, WireFaults::none());
         s.attach(tx);
         for i in 0..5u8 {
-            s.send_data(1, 1, 1, vec![i]).unwrap();
+            s.send_data(1, 1, 1, FrameBuf::from_payload(&[i])).unwrap();
         }
         let mut fr = FrameReader::new();
         drain(&mut rx, &mut fr); // receiver saw 1..=5, pretend it saw 3
@@ -250,13 +259,17 @@ mod tests {
         let (tx1, rx1) = pair();
         let mut s = LinkSender::new(0, 1, WireFaults::none());
         s.attach(tx1);
-        s.send_data(1, 1, 1, vec![1]).unwrap();
+        s.send_data(1, 1, 1, FrameBuf::from_payload(&[1])).unwrap();
         drop(rx1);
         s.detach();
         assert!(!s.is_connected());
         let (tx2, mut rx2) = pair();
         s.attach(tx2);
-        assert_eq!(s.send_data(1, 1, 1, vec![2]).unwrap(), 2, "sequence continues");
+        assert_eq!(
+            s.send_data(1, 1, 1, FrameBuf::from_payload(&[2])).unwrap(),
+            2,
+            "sequence continues"
+        );
         assert_eq!(s.resend_since(0).unwrap(), 2, "ring retained both frames");
         let mut fr = FrameReader::new();
         let got = drain(&mut rx2, &mut fr);
@@ -270,7 +283,7 @@ mod tests {
         let faults = WireFaults { seed: 1, drop: 1.0, ..WireFaults::none() };
         let mut s = LinkSender::new(0, 1, faults);
         s.attach(tx);
-        s.send_data(1, 1, 1, vec![7]).unwrap();
+        s.send_data(1, 1, 1, FrameBuf::from_payload(&[7])).unwrap();
         let mut fr = FrameReader::new();
         assert!(drain(&mut rx, &mut fr).is_empty(), "frame was 'lost in flight'");
         s.set_armed(false);
@@ -286,13 +299,44 @@ mod tests {
         let faults = WireFaults { seed: 5, corrupt: 1.0, ..WireFaults::none() };
         let mut s = LinkSender::new(0, 1, faults);
         s.attach(tx);
-        s.send_data(1, 1, 1, vec![1, 2, 3, 4]).unwrap();
+        s.send_data(1, 1, 1, FrameBuf::from_payload(&[1, 2, 3, 4])).unwrap();
         let mut fr = FrameReader::new();
         let got = drain(&mut rx, &mut fr);
         assert!(
             got.iter().all(|r| matches!(r, Err(FrameError::Corrupt { .. }))),
             "a flipped bit must never decode as a clean frame: {got:?}"
         );
+    }
+
+    #[test]
+    fn a_flipped_send_leaves_the_ring_clean() {
+        let (tx, mut rx) = pair();
+        let faults = WireFaults { seed: 5, corrupt: 1.0, ..WireFaults::none() };
+        let mut s = LinkSender::new(0, 1, faults);
+        s.attach(tx);
+        let payload: Vec<u8> = (0..200u8).collect();
+        s.send_data(1, 1, 1, FrameBuf::from_payload(&payload)).unwrap();
+        let mut fr = FrameReader::new();
+        let got = drain(&mut rx, &mut fr);
+        assert!(got.iter().all(|r| r.is_err()), "the live send was damaged: {got:?}");
+        s.set_armed(false);
+        assert_eq!(s.resend_since(0).unwrap(), 1);
+        let got = drain(&mut rx, &mut fr);
+        assert_eq!(got.len(), 1);
+        let frame = got[0].as_ref().expect("the replay is the clean frame");
+        assert_eq!((frame.seq, &frame.payload), (1, &payload));
+    }
+
+    #[test]
+    fn oversize_payload_is_refused_before_it_is_sequenced() {
+        let (tx, _rx) = pair();
+        let mut s = LinkSender::new(0, 1, WireFaults::none());
+        s.attach(tx);
+        let huge = FrameBuf::from_payload(&vec![0u8; MAX_PAYLOAD + 1]);
+        let err = s.send_data(1, 1, 1, huge).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert_eq!(s.last_seq(), 0, "no sequence number was spent");
+        assert_eq!(s.resend_since(0).unwrap(), 0, "nothing entered the ring");
     }
 
     #[test]
@@ -335,11 +379,15 @@ mod tests {
         let mut s = LinkSender::new(0, 1, faults);
         s.attach(tx);
         for i in 0..3u8 {
-            s.send_data(1, 1, 1, vec![i]).unwrap();
+            s.send_data(1, 1, 1, FrameBuf::from_payload(&[i])).unwrap();
         }
         s.clear_ring();
         assert_eq!(s.resend_since(0).unwrap(), 0, "nothing left to replay");
-        assert_eq!(s.send_data(1, 1, 1, vec![9]).unwrap(), 4, "seq continues past cleared frames");
+        assert_eq!(
+            s.send_data(1, 1, 1, FrameBuf::from_payload(&[9])).unwrap(),
+            4,
+            "seq continues past cleared frames"
+        );
     }
 
     #[test]
@@ -351,7 +399,7 @@ mod tests {
         let mut s = LinkSender::new(0, 1, faults);
         s.attach(tx);
         for i in 0..(RING_FRAMES as u64 + 10) {
-            s.send_data(1, 1, 1, vec![(i & 0xff) as u8]).unwrap();
+            s.send_data(1, 1, 1, FrameBuf::from_payload(&[(i & 0xff) as u8])).unwrap();
         }
         assert_eq!(s.resend_since(0).unwrap(), RING_FRAMES, "old frames were evicted");
     }

@@ -173,6 +173,9 @@ struct MuxShared {
     shutdown: AtomicBool,
     next_conn: AtomicU64,
     conns: Mutex<HashMap<ConnId, ConnState>>,
+    /// Connections whose reader detached itself from `conns` and has not
+    /// yet returned from `on_close`; shutdown waits for them.
+    closing: AtomicU64,
     handler: Arc<dyn MuxHandler>,
 }
 
@@ -195,6 +198,7 @@ impl MuxServer {
             shutdown: AtomicBool::new(false),
             next_conn: AtomicU64::new(0),
             conns: Mutex::new(HashMap::new()),
+            closing: AtomicU64::new(0),
             handler,
         });
         let acc = {
@@ -245,6 +249,11 @@ impl MuxServer {
                 let _ = h.join();
             }
             self.shared.handler.on_close(conn);
+        }
+        // Readers that detached before the drain above still owe their
+        // `on_close`; every close is observed once shutdown returns.
+        while self.shared.closing.load(Ordering::Acquire) > 0 {
+            std::thread::sleep(Duration::from_millis(1));
         }
         let _ = std::fs::remove_file(&self.path);
     }
@@ -354,13 +363,21 @@ impl MuxShared {
             }
         }
         // Detach: drop the reply sender so the writer exits once drained.
-        let st = self.conns.lock().remove(&conn);
+        let st = {
+            let mut conns = self.conns.lock();
+            let st = conns.remove(&conn);
+            if st.is_some() {
+                self.closing.fetch_add(1, Ordering::AcqRel);
+            }
+            st
+        };
         if let Some(mut st) = st {
             drop(st.replies);
             if let Some(h) = st.writer.take() {
                 let _ = h.join();
             }
             self.handler.on_close(conn);
+            self.closing.fetch_sub(1, Ordering::AcqRel);
         }
         // else: shutdown_inner already detached (and will call on_close).
     }

@@ -48,7 +48,7 @@ use mxn_trace::{emit, emit_instant, EventId, Phase, TraceHandle};
 
 use crate::codec::CodecRegistry;
 use crate::fault::WireFaults;
-use crate::frame::{Frame, FrameError, FrameKind, FrameReader};
+use crate::frame::{Frame, FrameBuf, FrameError, FrameKind, FrameReader, MAX_PAYLOAD};
 use crate::link::LinkSender;
 
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -571,6 +571,24 @@ impl NodeShared {
         }
     }
 
+    /// Waits until `peer` is connected and has sent a frame (its beats
+    /// arrive every `heartbeat`) after `since`, or `deadline` passes. An
+    /// open socket alone is no proof of life: a process that dies keeps
+    /// its sockets open until its teardown ends, and a vote cast in that
+    /// gap would admit a dead newcomer.
+    fn heard_since(&self, peer: usize, since: Instant, deadline: Instant) -> bool {
+        let p = &self.peers[peer];
+        loop {
+            if p.sender.lock().is_connected() && *p.last_heard.lock() > since {
+                return true;
+            }
+            if Instant::now() >= deadline {
+                return false;
+            }
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    }
+
     /// Delivers a checksum-damaged envelope so a receiver blocked on this
     /// `(context, tag)` observes `RuntimeError::Corrupt`, mirroring the
     /// in-proc fault plane's corrupt verdict.
@@ -923,18 +941,31 @@ impl NodeShared {
         self.peers[peer].reconnecting.store(false, Ordering::Release);
     }
 
-    /// Encodes and sends one type-erased payload to `dst`. A send while
-    /// the link is down still succeeds: the frame enters the resend ring
-    /// and session resume redelivers it (or the peer is declared dead and
-    /// later operations fail with `PeerDead`).
+    /// Encodes a type-erased payload straight into a frame buffer, or
+    /// `None` if its type has no registered codec.
+    fn encode(&self, value: &dyn Any) -> Option<(u32, FrameBuf)> {
+        let mut frame = FrameBuf::new();
+        let codec = self.registry.encode_any_into(value, frame.append_to())?;
+        Some((codec, frame))
+    }
+
+    /// Sends one encoded frame to `dst`. A send while the link is down
+    /// still succeeds: the frame enters the resend ring and session resume
+    /// redelivers it (or the peer is declared dead and later operations
+    /// fail with `PeerDead`). A payload no reader would accept fails with
+    /// `PayloadTooLarge` before it is sequenced.
     fn send_encoded(
         &self,
         dst: usize,
         context: u32,
         tag: i32,
         codec: u32,
-        bytes: Vec<u8>,
+        frame: FrameBuf,
     ) -> Result<()> {
+        let bytes = frame.payload().len();
+        if bytes > MAX_PAYLOAD {
+            return Err(RuntimeError::PayloadTooLarge { bytes, max: MAX_PAYLOAD });
+        }
         let size = self.cur_size();
         if dst >= size {
             return Err(RuntimeError::InvalidRank { rank: dst, size });
@@ -948,7 +979,7 @@ impl NodeShared {
         let p = &self.peers[dst];
         let mut sender = p.sender.lock();
         self.stats.frames_sent.fetch_add(1, Ordering::Relaxed);
-        if sender.send_data(context, tag, codec, bytes).is_err() {
+        if sender.send_data(context, tag, codec, frame).is_err() {
             // The write failed but the frame is ring-retained; the
             // reconnect/resume machinery owns redelivery from here.
             sender.detach();
@@ -1161,13 +1192,12 @@ impl WireNode {
     /// Sends `value` to `dst`'s mailbox bucket `(context, tag)`. The type
     /// must be registered in both processes' codec registries.
     pub fn send<T: Any + Send>(&self, dst: usize, context: u32, tag: i32, value: T) -> Result<()> {
-        let (codec, bytes) =
-            self.shared.registry.encode_any(&value).ok_or(RuntimeError::TypeMismatch {
-                expected: std::any::type_name::<T>(),
-                src: self.shared.cfg.rank,
-                tag,
-            })?;
-        self.shared.send_encoded(dst, context, tag, codec, bytes)
+        let (codec, frame) = self.shared.encode(&value).ok_or(RuntimeError::TypeMismatch {
+            expected: std::any::type_name::<T>(),
+            src: self.shared.cfg.rank,
+            tag,
+        })?;
+        self.shared.send_encoded(dst, context, tag, codec, frame)
     }
 
     /// Receives a `T` from `src` on `(context, tag)`, blocking until it
@@ -1277,8 +1307,9 @@ impl WireNode {
     /// 2. wait for the newcomer's `JoinReq` — it has already dialed the
     ///    whole mesh by the time it sends one;
     /// 3. serialize a [`JoinOffer`](mxn_runtime::JoinOffer) to every live
-    ///    incumbent and collect their votes (a vote arrives only if the
-    ///    newcomer's connection reached that incumbent too);
+    ///    incumbent and collect their votes (an incumbent votes yes once
+    ///    the newcomer is connected to it and has sent a frame since the
+    ///    offer);
     /// 4. unanimity → commit + state replay; anything else →
     ///    [`RuntimeError::ReconfigAborted`] and a rescind on every node.
     pub fn expand_mesh(&self, attempt: u64, state: &[u8], timeout: Duration) -> Result<usize> {
@@ -1332,6 +1363,7 @@ impl WireNode {
             participants: new_group,
         };
         let bytes = offer.to_wire_bytes();
+        let offered = Instant::now();
         for &r in &incumbents {
             let _ = self.send(r, WIRE_CTRL_CONTEXT, JOIN_OFFER_TAG, bytes.clone());
         }
@@ -1342,8 +1374,10 @@ impl WireNode {
                 Ok(_) | Err(_) => unanimous = false,
             }
         }
-        // Our own vote: the newcomer must still be wired to us.
-        if self.is_dead(new_rank) || !self.shared.peers[new_rank].sender.lock().is_connected() {
+        // Our own vote: the newcomer must still be wired to us and alive.
+        if self.is_dead(new_rank)
+            || !self.shared.heard_since(new_rank, offered, Instant::now() + timeout)
+        {
             unanimous = false;
         }
         if !unanimous {
@@ -1362,11 +1396,7 @@ impl WireNode {
         msg.extend_from_slice(state);
         self.send(new_rank, WIRE_CTRL_CONTEXT, JOIN_STATE_TAG, msg)?;
         self.shared.stats.joins_committed.fetch_add(1, Ordering::Relaxed);
-        emit(
-            EventId::WireJoin,
-            Phase::End,
-            [new_rank as u64, attempt, 1, (new_rank + 1) as u64],
-        );
+        emit(EventId::WireJoin, Phase::End, [new_rank as u64, attempt, 1, (new_rank + 1) as u64]);
         Ok(new_rank + 1)
     }
 
@@ -1383,24 +1413,11 @@ impl WireNode {
         let new_rank = offer.local_rank;
         let admitted = self.shared.begin_admit(new_rank).is_ok();
         // The newcomer dials the whole mesh before announcing itself to
-        // the sponsor, so its connection is usually already here; a dead
-        // newcomer (killed mid-join) shows up as EOF → never connected.
-        let mut wired = false;
-        if admitted {
-            let deadline = Instant::now() + timeout;
-            loop {
-                if self.shared.peers[new_rank].sender.lock().is_connected() {
-                    wired = true;
-                    break;
-                }
-                if Instant::now() >= deadline {
-                    break;
-                }
-                std::thread::sleep(Duration::from_millis(2));
-            }
-        }
-        let _ =
-            self.send(sponsor, WIRE_CTRL_CONTEXT, join_vote_tag(attempt), u64::from(wired));
+        // the sponsor, so its connection is usually already here; a
+        // newcomer killed mid-join never speaks again.
+        let offered = Instant::now();
+        let wired = admitted && self.shared.heard_since(new_rank, offered, offered + timeout);
+        let _ = self.send(sponsor, WIRE_CTRL_CONTEXT, join_vote_tag(attempt), u64::from(wired));
         let verdict =
             self.recv_timeout::<u64>(sponsor, WIRE_CTRL_CONTEXT, join_commit_tag(attempt), timeout);
         match verdict {
@@ -1427,13 +1444,13 @@ impl WireNode {
     /// [`RuntimeError::ReconfigAborted`].
     pub fn join_mesh(&self, sponsor: usize, timeout: Duration) -> Result<Vec<u8>> {
         self.send(sponsor, WIRE_CTRL_CONTEXT, JOIN_REQ_TAG, self.rank() as u64)?;
-        let msg: Vec<u8> = self.recv_timeout(sponsor, WIRE_CTRL_CONTEXT, JOIN_STATE_TAG, timeout)?;
+        let msg: Vec<u8> =
+            self.recv_timeout(sponsor, WIRE_CTRL_CONTEXT, JOIN_STATE_TAG, timeout)?;
         match msg.split_first() {
             Some((1, rest)) if rest.len() >= 4 => Ok(rest[4..].to_vec()),
             Some((_, rest)) => {
-                let attempt = rest
-                    .get(..4)
-                    .map_or(0, |b| u32::from_le_bytes(b.try_into().expect("4 bytes")));
+                let attempt =
+                    rest.get(..4).map_or(0, |b| u32::from_le_bytes(b.try_into().expect("4 bytes")));
                 Err(RuntimeError::ReconfigAborted {
                     context: WIRE_CTRL_CONTEXT,
                     attempt: u64::from(attempt),
@@ -1534,14 +1551,13 @@ impl Transport for UdsTransport {
                 tag: env.tag,
             }),
             Payload::Owned(boxed) => {
-                let (codec, bytes) = self.shared.registry.encode_any(boxed.as_ref()).ok_or(
-                    RuntimeError::TypeMismatch {
+                let (codec, frame) =
+                    self.shared.encode(boxed.as_ref()).ok_or(RuntimeError::TypeMismatch {
                         expected: "a type registered in the CodecRegistry",
                         src: env.src_global,
                         tag: env.tag,
-                    },
-                )?;
-                self.shared.send_encoded(dst, env.context, env.tag, codec, bytes)
+                    })?;
+                self.shared.send_encoded(dst, env.context, env.tag, codec, frame)
             }
         }
     }
@@ -1617,6 +1633,24 @@ mod tests {
         let nodes = mesh(&dir, 2);
         let err = nodes[0].send(1, 1, 1, Opaque).unwrap_err();
         assert!(matches!(err, RuntimeError::TypeMismatch { .. }));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn oversize_send_is_refused_not_resent_forever() {
+        let dir = test_dir("oversize");
+        let nodes = mesh(&dir, 2);
+        let err = nodes[0].send(1, 1, 1, vec![0u8; MAX_PAYLOAD + 16]).unwrap_err();
+        // A `Vec<u8>` encodes as a 4-byte count and its bytes.
+        assert_eq!(
+            err,
+            RuntimeError::PayloadTooLarge { bytes: MAX_PAYLOAD + 20, max: MAX_PAYLOAD }
+        );
+        nodes[0].send(1, 1, 2, 7u64).unwrap();
+        let got: u64 = nodes[1].recv_timeout(0, 1, 2, Duration::from_secs(5)).unwrap();
+        assert_eq!(got, 7, "the link carries on past the refused send");
+        let stats = nodes[1].stats();
+        assert_eq!((stats.frames_received, stats.corrupt_frames), (1, 0));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -84,8 +84,37 @@ impl WorkerGuard {
     /// its sockets stay open and its listener backlog keeps accepting, so
     /// heartbeat-miss/reconnect alone never convicts it; only the
     /// progress-fence watermark does.
+    ///
+    /// `kill` only queues the signal: a busy thread of the worker can run
+    /// on for a while before the group stop reaches it. Where `/proc`
+    /// shows threads, this returns once every one of them is stopped, and
+    /// `false` if that takes more than a second.
     pub fn sigstop(&self) -> bool {
-        signal(self.pid(), "-STOP")
+        signal(self.pid(), "-STOP") && self.await_stopped(Duration::from_secs(1))
+    }
+
+    fn await_stopped(&self, timeout: Duration) -> bool {
+        let tasks = PathBuf::from(format!("/proc/{}/task", self.pid()));
+        let deadline = Instant::now() + timeout;
+        loop {
+            let Ok(threads) = std::fs::read_dir(&tasks) else {
+                return true; // no per-thread view on this platform
+            };
+            let stopped = threads.filter_map(|t| t.ok()).all(|t| {
+                std::fs::read_to_string(t.path().join("stat")).is_ok_and(|stat| {
+                    // The state letter follows the parenthesised command name.
+                    stat.rsplit_once(')').and_then(|(_, rest)| rest.trim_start().chars().next())
+                        == Some('T')
+                })
+            });
+            if stopped {
+                return true;
+            }
+            if Instant::now() >= deadline {
+                return false;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
     }
 
     /// SIGCONTs a stopped worker, resuming it where it froze.

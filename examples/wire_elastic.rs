@@ -89,7 +89,10 @@ fn serve(node: &WireNode, rank: usize) {
             }
             MSG_JOIN => {
                 let admitted = node.join_vote(0, Duration::from_secs(10)).expect("join vote");
-                eprintln!("[rank {rank}] voted; rank {admitted} admitted, mesh now {}", node.size());
+                eprintln!(
+                    "[rank {rank}] voted; rank {admitted} admitted, mesh now {}",
+                    node.size()
+                );
             }
             epoch => {
                 let (lo, hi, attempt) = (msg[1] as usize, msg[2] as usize, msg[3]);
@@ -124,7 +127,11 @@ fn spare_main(role: &WireRole) {
     node.connect().expect("spare: dial mesh");
     let state = node.join_mesh(0, Duration::from_secs(10)).expect("spare: join");
     let resume = u64::from_le_bytes(state[..8].try_into().expect("state blob"));
-    eprintln!("[spare {}] admitted into a {}-mesh; resuming at epoch {resume}", role.rank, node.size());
+    eprintln!(
+        "[spare {}] admitted into a {}-mesh; resuming at epoch {resume}",
+        role.rank,
+        node.size()
+    );
     serve(&node, role.rank);
     node.shutdown();
 }
@@ -209,7 +216,10 @@ fn driver_main(dir: std::path::PathBuf, trace_out: String) {
                 assert!(Instant::now() < deadline, "zombie was never evicted");
                 std::thread::sleep(Duration::from_millis(5));
             }
-            println!("epoch {epoch}: rank {zombie} evicted {:?} after SIGSTOP (final)", t0.elapsed());
+            println!(
+                "epoch {epoch}: rank {zombie} evicted {:?} after SIGSTOP (final)",
+                t0.elapsed()
+            );
             live.retain(|&w| w != zombie);
             for &w in &live {
                 node.send(w, APP, ASSIGN_TAG, vec![MSG_RECOVER, epoch, 0, 0])
@@ -241,7 +251,11 @@ fn driver_main(dir: std::path::PathBuf, trace_out: String) {
         println!("epoch {epoch}: field complete and correct across {} worker(s)", parts.len());
         if epoch == STOP_AFTER_EPOCH && stopped_at.is_none() {
             let victim = &workers[0]; // worker rank 1
-            println!("SIGSTOP worker rank {} (pid {}) — a zombie, not a corpse", victim.rank(), victim.pid());
+            println!(
+                "SIGSTOP worker rank {} (pid {}) — a zombie, not a corpse",
+                victim.rank(),
+                victim.pid()
+            );
             assert!(victim.sigstop(), "SIGSTOP failed");
             stopped_at = Some(Instant::now());
         }
@@ -295,9 +309,8 @@ fn main() {
         }
         return;
     }
-    let trace_out = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "target/wire_elastic_trace.json".to_string());
+    let trace_out =
+        std::env::args().nth(1).unwrap_or_else(|| "target/wire_elastic_trace.json".to_string());
     let dir = std::env::temp_dir().join(format!("mxn-wire-elastic-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     driver_main(dir.clone(), trace_out);

@@ -60,11 +60,9 @@ fn test_dir(name: &str) -> std::path::PathBuf {
 fn worker_loop(role: &WireRole) {
     let WireRole { rank, size, max_size, dir, seed, .. } = role;
     let (rank, size) = (*rank, *size);
-    let node = WireNode::start(
-        config(dir, rank, size, *seed, *max_size),
-        CodecRegistry::with_defaults(),
-    )
-    .expect("worker: start");
+    let node =
+        WireNode::start(config(dir, rank, size, *seed, *max_size), CodecRegistry::with_defaults())
+            .expect("worker: start");
     node.connect().expect("worker: connect");
     serve(&node, rank);
     node.shutdown();
