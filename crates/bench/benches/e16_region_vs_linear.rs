@@ -14,7 +14,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mxn_bench::{criterion_config, field_value, time_universe};
 use mxn_dad::{AxisDist, Dad, Extents, LocalArray, Template};
 use mxn_linearize::ArrayOrder;
-use mxn_schedule::{LinearSchedule, RegionSchedule};
+use mxn_schedule::{LinearSchedule, Redistribution, RegionSchedule, Side};
 
 fn layouts(block: usize) -> (Dad, Dad) {
     let e = Extents::new([512, 32]);
@@ -36,13 +36,13 @@ fn run_exec(region: bool, block: usize, iters: u64) -> std::time::Duration {
         if ctx.program == 0 {
             let ic = ctx.intercomm(1);
             let local = LocalArray::from_fn(&src, rank, field_value);
-            let reg = RegionSchedule::for_sender(&src, &dst, rank);
+            let mut reg = Redistribution::new(&src, &dst, rank, Side::Send, None);
             let lin = LinearSchedule::for_sender(&src, &dst, ArrayOrder::RowMajor, rank);
             let start = Instant::now();
             for i in 0..iters {
                 let tag = (i & 0xfff) as i32;
                 if region {
-                    reg.execute_send(ic, &local, tag).unwrap();
+                    reg.send(ic, &local, tag).unwrap();
                 } else {
                     lin.execute_send(ic, &src, &local, tag).unwrap();
                 }
@@ -51,13 +51,13 @@ fn run_exec(region: bool, block: usize, iters: u64) -> std::time::Duration {
         } else {
             let ic = ctx.intercomm(0);
             let mut local: LocalArray<f64> = LocalArray::allocate(&dst, rank);
-            let reg = RegionSchedule::for_receiver(&src, &dst, rank);
+            let mut reg = Redistribution::new(&src, &dst, rank, Side::Recv, None);
             let lin = LinearSchedule::for_receiver(&src, &dst, ArrayOrder::RowMajor, rank);
             let start = Instant::now();
             for i in 0..iters {
                 let tag = (i & 0xfff) as i32;
                 if region {
-                    reg.execute_recv(ic, &mut local, tag).unwrap();
+                    reg.recv(ic, &mut local, tag).unwrap();
                 } else {
                     lin.execute_recv(ic, &dst, &mut local, tag).unwrap();
                 }

@@ -20,7 +20,7 @@ use mxn_bench::{criterion_config, field_value};
 use mxn_dad::{Dad, Extents, LocalArray};
 use mxn_linearize::{request_and_fill, serve_requests, ArrayOrder};
 use mxn_runtime::{InterComm, NetworkModel, World};
-use mxn_schedule::RegionSchedule;
+use mxn_schedule::{Redistribution, Side};
 
 const M: usize = 2;
 const N: usize = 3;
@@ -41,10 +41,10 @@ fn run(model: NetworkModel, use_schedule: bool, iters: u64) -> Duration {
         let rank = local_comm.rank();
         if side == 0 {
             let local = LocalArray::from_fn(&src, rank, field_value);
-            let sched = RegionSchedule::for_sender(&src, &dst, rank);
+            let mut plan = Redistribution::new(&src, &dst, rank, Side::Send, None);
             for i in 0..iters {
                 if use_schedule {
-                    sched.execute_send(&ic, &local, (i & 0xfff) as i32).unwrap();
+                    plan.send(&ic, &local, (i & 0xfff) as i32).unwrap();
                 } else {
                     serve_requests(&ic, &src, ArrayOrder::RowMajor, &local).unwrap();
                 }
@@ -52,11 +52,11 @@ fn run(model: NetworkModel, use_schedule: bool, iters: u64) -> Duration {
             Duration::ZERO
         } else {
             let mut local: LocalArray<f64> = LocalArray::allocate(&dst, rank);
-            let sched = RegionSchedule::for_receiver(&src, &dst, rank);
+            let mut plan = Redistribution::new(&src, &dst, rank, Side::Recv, None);
             let start = Instant::now();
             for i in 0..iters {
                 if use_schedule {
-                    sched.execute_recv(&ic, &mut local, (i & 0xfff) as i32).unwrap();
+                    plan.recv(&ic, &mut local, (i & 0xfff) as i32).unwrap();
                 } else {
                     request_and_fill(&ic, &dst, ArrayOrder::RowMajor, &mut local).unwrap();
                 }

@@ -14,7 +14,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use mxn_bench::{criterion_config, field_value, time_universe};
 use mxn_dad::{AxisDist, Dad, Extents, LocalArray, Template};
-use mxn_schedule::RegionSchedule;
+use mxn_schedule::{Redistribution, RegionSchedule, Side};
 
 fn fragmented(extents: &Extents, block: usize, nprocs: usize) -> Dad {
     Dad::regular(
@@ -68,28 +68,28 @@ fn bench(c: &mut Criterion) {
                     if ctx.program == 0 {
                         let ic = ctx.intercomm(1);
                         let local = LocalArray::from_fn(&src, rank, field_value);
-                        let cached = RegionSchedule::for_sender(&src, &dst, rank);
+                        let plan = || Redistribution::new(&src, &dst, rank, Side::Send, None);
+                        let mut held = plan();
                         let start = Instant::now();
                         for i in 0..iters {
                             if reuse {
-                                cached.execute_send(ic, &local, i as i32 & 0xfff).unwrap();
+                                held.send(ic, &local, i as i32 & 0xfff).unwrap();
                             } else {
-                                let s = RegionSchedule::for_sender(&src, &dst, rank);
-                                s.execute_send(ic, &local, i as i32 & 0xfff).unwrap();
+                                plan().send(ic, &local, i as i32 & 0xfff).unwrap();
                             }
                         }
                         start.elapsed()
                     } else {
                         let ic = ctx.intercomm(0);
                         let mut local: LocalArray<f64> = LocalArray::allocate(&dst, rank);
-                        let cached = RegionSchedule::for_receiver(&src, &dst, rank);
+                        let plan = || Redistribution::new(&src, &dst, rank, Side::Recv, None);
+                        let mut held = plan();
                         let start = Instant::now();
                         for i in 0..iters {
                             if reuse {
-                                cached.execute_recv(ic, &mut local, i as i32 & 0xfff).unwrap();
+                                held.recv(ic, &mut local, i as i32 & 0xfff).unwrap();
                             } else {
-                                let s = RegionSchedule::for_receiver(&src, &dst, rank);
-                                s.execute_recv(ic, &mut local, i as i32 & 0xfff).unwrap();
+                                plan().recv(ic, &mut local, i as i32 & 0xfff).unwrap();
                             }
                         }
                         start.elapsed()

@@ -17,7 +17,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mxn_bench::{criterion_config, field_value, time_universe};
 use mxn_dad::{Dad, Extents, LocalArray};
 use mxn_linearize::{request_and_fill, serve_requests, ArrayOrder};
-use mxn_schedule::RegionSchedule;
+use mxn_schedule::{Redistribution, Side};
 
 const M: usize = 3;
 const N: usize = 4;
@@ -40,9 +40,9 @@ fn session(use_schedule: bool, transfers: usize, iters: u64) -> Duration {
             for i in 0..iters {
                 if use_schedule {
                     // Setup is part of the measured session.
-                    let sched = RegionSchedule::for_sender(&src, &dst, rank);
+                    let mut plan = Redistribution::new(&src, &dst, rank, Side::Send, None);
                     for k in 0..transfers {
-                        sched.execute_send(ic, &local, ((i as usize + k) & 0xfff) as i32).unwrap();
+                        plan.send(ic, &local, ((i as usize + k) & 0xfff) as i32).unwrap();
                     }
                 } else {
                     for _ in 0..transfers {
@@ -57,11 +57,9 @@ fn session(use_schedule: bool, transfers: usize, iters: u64) -> Duration {
             let start = Instant::now();
             for i in 0..iters {
                 if use_schedule {
-                    let sched = RegionSchedule::for_receiver(&src, &dst, rank);
+                    let mut plan = Redistribution::new(&src, &dst, rank, Side::Recv, None);
                     for k in 0..transfers {
-                        sched
-                            .execute_recv(ic, &mut local, ((i as usize + k) & 0xfff) as i32)
-                            .unwrap();
+                        plan.recv(ic, &mut local, ((i as usize + k) & 0xfff) as i32).unwrap();
                     }
                 } else {
                     for _ in 0..transfers {

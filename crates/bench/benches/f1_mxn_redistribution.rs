@@ -1,8 +1,8 @@
 //! Experiment F1 — Figure 1: the M×N redistribution itself.
 //!
 //! Reproduces the paper's headline scenario (8 senders → 27 receivers in
-//! 3-D) and sweeps (M, N) shapes, measuring per-transfer time with cached
-//! schedules and reporting the message counts a cluster would see.
+//! 3-D) and sweeps (M, N) shapes, measuring per-transfer time with held
+//! plans and reporting the message counts a cluster would see.
 
 use std::time::{Duration, Instant};
 
@@ -10,9 +10,9 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use mxn_bench::{criterion_config, field_value, time_universe};
 use mxn_dad::{Dad, Extents, LocalArray};
-use mxn_schedule::RegionSchedule;
+use mxn_schedule::{Redistribution, RegionSchedule, Side};
 
-/// Times `iters` cached-schedule transfers between an m-grid and n-grid.
+/// Times `iters` held-plan transfers between an m-grid and n-grid.
 fn run_transfer(m_grid: &[usize], n_grid: &[usize], extents: &Extents, iters: u64) -> Duration {
     let m: usize = m_grid.iter().product();
     let n: usize = n_grid.iter().product();
@@ -22,21 +22,21 @@ fn run_transfer(m_grid: &[usize], n_grid: &[usize], extents: &Extents, iters: u6
         if ctx.program == 0 {
             let rank = ctx.comm.rank();
             let ic = ctx.intercomm(1);
-            let sched = RegionSchedule::for_sender(&src, &dst, rank);
+            let mut plan = Redistribution::new(&src, &dst, rank, Side::Send, None);
             let local = LocalArray::from_fn(&src, rank, field_value);
             let start = Instant::now();
             for i in 0..iters {
-                sched.execute_send(ic, &local, i as i32 & 0xfff).unwrap();
+                plan.send(ic, &local, i as i32 & 0xfff).unwrap();
             }
             start.elapsed()
         } else {
             let rank = ctx.comm.rank();
             let ic = ctx.intercomm(0);
-            let sched = RegionSchedule::for_receiver(&src, &dst, rank);
+            let mut plan = Redistribution::new(&src, &dst, rank, Side::Recv, None);
             let mut local: LocalArray<f64> = LocalArray::allocate(&dst, rank);
             let start = Instant::now();
             for i in 0..iters {
-                sched.execute_recv(ic, &mut local, i as i32 & 0xfff).unwrap();
+                plan.recv(ic, &mut local, i as i32 & 0xfff).unwrap();
             }
             start.elapsed()
         }

@@ -28,10 +28,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use mxn_bench::{criterion_config, field_value, fmt_bytes};
 use mxn_dad::{Dad, Extents, LocalArray};
 use mxn_runtime::{reset_schedule_stats, schedule_stats, Universe, World};
-use mxn_schedule::{
-    recv_redistributed, recv_redistributed_budgeted, redistribute_within_budgeted,
-    send_redistributed, send_redistributed_budgeted, RouteKind, RoutePlanner,
-};
+use mxn_schedule::{Redistribution, RouteKind, RoutePlanner, Side};
 use mxn_trace::EventId;
 
 /// 128 producer programs + 128 consumer programs = 256 ranks.
@@ -72,10 +69,7 @@ fn measure_transfer(budget: Option<u64>) -> (u64, Duration) {
             let ic = ctx.intercomm(1);
             ic.reset_mailbox_peak();
             reset_schedule_stats();
-            match budget {
-                Some(b) => send_redistributed_budgeted(ic, &src, &dst, &local, 0, b).unwrap(),
-                None => send_redistributed(ic, &src, &dst, &local, 0).unwrap(),
-            };
+            Redistribution::new(&src, &dst, rank, Side::Send, budget).send(ic, &local, 0).unwrap();
             let (_, mailbox_peak) = ic.mailbox_bytes();
             let pool_peak = schedule_stats().transfer_peak_bytes;
             (shard_bytes(&src, rank) + mailbox_peak + pool_peak, Duration::ZERO)
@@ -88,10 +82,10 @@ fn measure_transfer(budget: Option<u64>) -> (u64, Duration) {
             // the mailbox while nobody drains it.
             std::thread::sleep(STALL);
             let start = Instant::now();
-            let got: LocalArray<f64> = match budget {
-                Some(b) => recv_redistributed_budgeted(ic, &src, &dst, 0, b).unwrap(),
-                None => recv_redistributed(ic, &src, &dst, 0).unwrap(),
-            };
+            let mut got: LocalArray<f64> = LocalArray::allocate(&dst, rank);
+            Redistribution::new(&src, &dst, rank, Side::Recv, budget)
+                .recv(ic, &mut got, 0)
+                .unwrap();
             let elapsed = start.elapsed();
             let (_, mailbox_peak) = ic.mailbox_bytes();
             let pool_peak = schedule_stats().transfer_peak_bytes;
@@ -124,7 +118,10 @@ fn bench(c: &mut Criterion) {
                 let src = Dad::block(e.clone(), &[4, 1]).unwrap();
                 let dst = Dad::block(e, &[1, 4]).unwrap();
                 let local = LocalArray::from_fn(&src, comm.rank(), field_value);
-                let out = redistribute_within_budgeted(comm, &src, &dst, &local, 0, 2048).unwrap();
+                let mut out: LocalArray<f64> = LocalArray::allocate(&dst, comm.rank());
+                Redistribution::new(&src, &dst, comm.rank(), Side::Within, Some(2048))
+                    .within(comm, &local, &mut out, 0)
+                    .unwrap();
                 std::hint::black_box(out);
             });
         });
@@ -200,12 +197,17 @@ fn bench(c: &mut Criterion) {
         let e = Extents::new([48, 48]);
         let src = Dad::block(e.clone(), &[2, 1]).unwrap();
         let dst = Dad::block(e, &[3, 1]).unwrap();
+        let rank = ctx.comm.rank();
         if ctx.program == 0 {
-            let local = LocalArray::from_fn(&src, ctx.comm.rank(), field_value);
-            send_redistributed_budgeted(ctx.intercomm(1), &src, &dst, &local, 0, 4096).unwrap();
+            let local = LocalArray::from_fn(&src, rank, field_value);
+            Redistribution::new(&src, &dst, rank, Side::Send, Some(4096))
+                .send(ctx.intercomm(1), &local, 0)
+                .unwrap();
         } else {
-            let _: LocalArray<f64> =
-                recv_redistributed_budgeted(ctx.intercomm(0), &src, &dst, 0, 4096).unwrap();
+            let mut got: LocalArray<f64> = LocalArray::allocate(&dst, rank);
+            Redistribution::new(&src, &dst, rank, Side::Recv, Some(4096))
+                .recv(ctx.intercomm(0), &mut got, 0)
+                .unwrap();
         }
     });
     let agg = trace.aggregate();

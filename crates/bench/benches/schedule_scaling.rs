@@ -7,9 +7,9 @@
 //!   overlaps O(1) peers) and a fragmented block-cyclic → block layout.
 //!   Probe counts come from the runtime's schedule counters, timings from
 //!   wall-clock loops over every rank's build.
-//! * **Transfer**: a 4-rank transpose executed with precompiled plans and a
-//!   [`TransferBuffers`] pool — fresh-allocation counts confirm the pool
-//!   circulates after step 1.
+//! * **Transfer**: a 4-rank transpose executed by one held within
+//!   [`Redistribution`] plan (precompiled copy plans and a buffer pool) —
+//!   fresh-allocation counts confirm the pool circulates after step 1.
 //!
 //! Results are written to `BENCH_schedule.json` at the repo root so the
 //! pruned/naive ratio is recorded alongside the code.
@@ -21,7 +21,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mxn_bench::criterion_config;
 use mxn_dad::{AxisDist, Dad, Extents, LocalArray, Template};
 use mxn_runtime::{reset_schedule_stats, schedule_stats, World};
-use mxn_schedule::{RegionSchedule, TransferBuffers};
+use mxn_schedule::{Redistribution, RegionSchedule, Side};
 
 /// Aligned coupling: the same row-block layout on both sides (two programs
 /// sharing a decomposition), where every rank overlaps exactly one peer.
@@ -115,31 +115,20 @@ fn transfer_reuse(steps: usize) -> (f64, u64, u64) {
         let e = Extents::new([64, 64]);
         let src = Dad::block(e.clone(), &[4, 1]).unwrap();
         let dst = Dad::block(e, &[1, 4]).unwrap();
-        let send = RegionSchedule::for_sender(&src, &dst, comm.rank());
-        let recv = RegionSchedule::for_receiver(&src, &dst, comm.rank());
+        let mut plan = Redistribution::new(&src, &dst, comm.rank(), Side::Within, None);
         let src_local = LocalArray::from_fn(&src, comm.rank(), |idx| (idx[0] * 64 + idx[1]) as f64);
         let mut dst_local: LocalArray<f64> = LocalArray::allocate(&dst, comm.rank());
-        let mut pool = TransferBuffers::new();
         let mut after_first = 0;
         let start = Instant::now();
         for step in 0..steps {
-            RegionSchedule::execute_local_pooled(
-                &send,
-                &recv,
-                comm,
-                &src_local,
-                &mut dst_local,
-                step as i32,
-                &mut pool,
-            )
-            .unwrap();
+            plan.within(comm, &src_local, &mut dst_local, step as i32).unwrap();
             comm.barrier().unwrap();
             if step == 0 {
-                after_first = pool.stats().1;
+                after_first = plan.pool().stats().1;
             }
         }
         let ns = start.elapsed().as_nanos() as f64 / steps as f64;
-        (ns, after_first, pool.stats().1)
+        (ns, after_first, plan.pool().stats().1)
     });
     let ns = results.iter().map(|r| r.0).fold(0.0f64, f64::max);
     let after_first = results.iter().map(|r| r.1).max().unwrap();

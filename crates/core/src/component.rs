@@ -14,7 +14,7 @@ use parking_lot::RwLock;
 
 use mxn_dad::{AccessMode, Dad, LocalArray};
 use mxn_runtime::{Comm, InterComm};
-use mxn_schedule::redistribute_within;
+use mxn_schedule::{Redistribution, Side};
 
 use crate::connection::{ConnectionKind, Direction, MxnConnection};
 use crate::coordinator::follow_order;
@@ -135,10 +135,9 @@ impl MxnComponent {
             let entry = self.registry.get(field)?;
             (entry.dad().clone(), entry.access(), entry.data().clone())
         };
-        let new_local: LocalArray<f64> = {
-            let src = data.read();
-            redistribute_within(comm, &old_dad, &new_dad, &src, (1 << 20) - 4)?
-        };
+        let mut plan = Redistribution::new(&old_dad, &new_dad, comm.rank(), Side::Within, None);
+        let mut new_local = LocalArray::allocate(&new_dad, comm.rank());
+        plan.within(comm, &data.read(), &mut new_local, (1 << 20) - 4)?;
         self.registry.unregister(field)?;
         self.registry.register(field, new_dad, access, Arc::new(RwLock::new(new_local)))
     }

@@ -26,10 +26,7 @@ use parking_lot::RwLock;
 
 use mxn_dad::{AccessMode, Dad};
 use mxn_runtime::{Comm, InterComm, MsgSize, ReconfigReport, RuntimeError, ShrinkReport, Src};
-use mxn_schedule::{
-    recv_redistributed_budgeted_cached_for_epoch, send_redistributed_budgeted_cached_for_epoch,
-    RegionSchedule, ScheduleCache,
-};
+use mxn_schedule::{Redistribution, Side};
 use mxn_trace::EventId;
 
 use crate::elastic::redistribute_elastic;
@@ -126,6 +123,22 @@ fn resize_dad(dad: &Dad, old_group: &[usize], new_group: &[usize]) -> Result<Dad
                 .collect::<Result<Vec<usize>>>()?;
             dad.shrink(&keep).map_err(|detail| MxnError::Handshake { detail })
         }
+    }
+}
+
+/// This rank's transfer plan for one side of a connection, under `budget`
+/// (`None` runs the direct lowering). Every (re)build of a connection's
+/// layout goes through here, so a plan never outlives its membership.
+fn build_plan(
+    direction: Direction,
+    my_dad: &Dad,
+    peer_dad: &Dad,
+    rank: usize,
+    budget: Option<u64>,
+) -> Redistribution<f64> {
+    match direction {
+        Direction::Export => Redistribution::new(my_dad, peer_dad, rank, Side::Send, budget),
+        Direction::Import => Redistribution::new(peer_dad, my_dad, rank, Side::Recv, budget),
     }
 }
 
@@ -232,11 +245,13 @@ pub struct MxnConnection {
     field: String,
     direction: Direction,
     kind: ConnectionKind,
-    /// The descriptors the current schedule was built from, kept so a
-    /// heal can re-derive survivor descriptors and rebuild the schedule.
+    /// The descriptors the current plan was built from, kept so a heal
+    /// or resize can re-derive descriptors and rebuild the plan.
     my_dad: Dad,
     peer_dad: Dad,
-    schedule: RegionSchedule,
+    /// This rank's transfer plan, rebuilt at every reconfiguration and
+    /// whenever a transfer asks for a different budget.
+    plan: Redistribution<f64>,
     tag: i32,
     /// Recovery epoch: 0 until the first heal, +1 per heal. Transfers from
     /// different epochs never mix — a heal revokes the old intercomm
@@ -388,18 +403,14 @@ impl MxnConnection {
                 ),
             });
         }
-        let rank = registry.rank();
-        let schedule = match direction {
-            Direction::Export => RegionSchedule::for_sender(&my_dad, &peer_dad, rank),
-            Direction::Import => RegionSchedule::for_receiver(&peer_dad, &my_dad, rank),
-        };
+        let plan = build_plan(direction, &my_dad, &peer_dad, registry.rank(), None);
         Ok(MxnConnection {
             field: field.to_string(),
             direction,
             kind,
             my_dad,
             peer_dad,
-            schedule,
+            plan,
             tag: conn_tag(ic, my_id, peer_id),
             epoch: 0,
             transactional: false,
@@ -453,7 +464,7 @@ impl MxnConnection {
 
     /// Number of peer ranks this rank exchanges messages with.
     pub fn num_partners(&self) -> usize {
-        self.schedule.num_messages()
+        self.plan.schedule().num_messages()
     }
 
     /// Declares this rank's local data consistent and "ready": runs this
@@ -464,6 +475,39 @@ impl MxnConnection {
         ic: &InterComm,
         registry: &FieldRegistry,
     ) -> Result<TransferOutcome> {
+        self.ready(ic, registry, None)
+    }
+
+    /// Budget-aware `data_ready`: the due transfer runs over the route
+    /// planned for a per-rank staging budget of `budget_bytes`. Both sides
+    /// of the coupling must use this path with the same budget for the
+    /// same rounds (the routed protocol has its own wire format). The plan
+    /// is profiled when the budget first differs from the one it was
+    /// planned for, and again after every heal or elastic
+    /// reconfiguration, which rebuild it for the new layout.
+    ///
+    /// Budgeted transfers cannot be transactional — staging every chunk
+    /// for the commit vote would break the budget — so on a transactional
+    /// connection this returns [`MxnError::BudgetedTransaction`] before
+    /// anything moves.
+    pub fn data_ready_budgeted(
+        &mut self,
+        ic: &InterComm,
+        registry: &FieldRegistry,
+        budget_bytes: u64,
+    ) -> Result<TransferOutcome> {
+        self.ready(ic, registry, Some(budget_bytes))
+    }
+
+    fn ready(
+        &mut self,
+        ic: &InterComm,
+        registry: &FieldRegistry,
+        budget: Option<u64>,
+    ) -> Result<TransferOutcome> {
+        if let (Some(budget_bytes), true) = (budget, self.transactional) {
+            return Err(MxnError::BudgetedTransaction { budget_bytes });
+        }
         if self.closed {
             return Ok(TransferOutcome::Closed);
         }
@@ -475,19 +519,17 @@ impl MxnConnection {
         if !due {
             return Ok(TransferOutcome::Skipped);
         }
+        if self.plan.budget() != budget {
+            self.plan =
+                build_plan(self.direction, &self.my_dad, &self.peer_dad, self.plan.rank(), budget);
+        }
         if self.transactional {
             return self.transactional_transfer(ic, registry);
         }
         let entry = registry.get(&self.field)?;
         let moved = match self.direction {
-            Direction::Export => {
-                let data = entry.data().read();
-                self.schedule.execute_send(ic, &data, self.tag)
-            }
-            Direction::Import => {
-                let mut data = entry.data().write();
-                self.schedule.execute_recv(ic, &mut data, self.tag)
-            }
+            Direction::Export => self.plan.send(ic, &entry.data().read(), self.tag),
+            Direction::Import => self.plan.recv(ic, &mut entry.data().write(), self.tag),
         };
         let elements = match moved {
             Ok(n) => n,
@@ -526,15 +568,12 @@ impl MxnConnection {
         let mut elements = 0usize;
         let mut failure: Option<MxnError> = None;
         match self.direction {
-            Direction::Export => {
-                let data = entry.data().read();
-                match self.schedule.execute_send(ic, &data, self.tag) {
-                    Ok(n) => elements = n,
-                    Err(e) => failure = Some(map_dead(self.tag, e.into())),
-                }
-            }
+            Direction::Export => match self.plan.send(ic, &entry.data().read(), self.tag) {
+                Ok(n) => elements = n,
+                Err(e) => failure = Some(map_dead(self.tag, e.into())),
+            },
             Direction::Import => {
-                for pair in self.schedule.pairs() {
+                for pair in self.plan.schedule().pairs() {
                     match ic.recv::<Vec<f64>>(pair.peer, self.tag) {
                         Ok(buf) => {
                             elements += buf.len();
@@ -554,7 +593,7 @@ impl MxnConnection {
             if self.direction == Direction::Import {
                 let mut data = entry.data().write();
                 for (i, buf) in staged.iter().enumerate() {
-                    self.schedule.unpack_pair_from(i, &mut data, buf);
+                    self.plan.schedule().unpack_pair_from(i, &mut data, buf);
                 }
             }
             self.transfers += 1;
@@ -599,7 +638,7 @@ impl MxnConnection {
         let mut span = mxn_trace::span(EventId::Heal, [self.epoch + 1, 0, 0, 0]);
         ic.revoke();
         let (healed, report) = ic.shrink_with_report().map_err(|e| map_dead(self.tag, e.into()))?;
-        let old_rank = self.schedule.rank();
+        let old_rank = self.plan.rank();
         let new_rank = report
             .local_survivors
             .iter()
@@ -614,10 +653,7 @@ impl MxnConnection {
             .shrink(&report.remote_survivors)
             .map_err(|detail| MxnError::Handshake { detail })?;
         registry.rebind(&self.field, my_dad.clone(), old_rank, new_rank)?;
-        self.schedule = match self.direction {
-            Direction::Export => RegionSchedule::for_sender(&my_dad, &peer_dad, new_rank),
-            Direction::Import => RegionSchedule::for_receiver(&peer_dad, &my_dad, new_rank),
-        };
+        self.plan = build_plan(self.direction, &my_dad, &peer_dad, new_rank, self.plan.budget());
         self.my_dad = my_dad;
         self.peer_dad = peer_dad;
         self.epoch += 1;
@@ -628,78 +664,6 @@ impl MxnConnection {
             0,
         ]);
         Ok((healed, report))
-    }
-
-    /// Budget-aware `data_ready`: the pairwise transfer runs over a
-    /// planned route from `cache` that respects the staging-buffer budget
-    /// negotiated at plan time. Both sides of the coupling must use this
-    /// path for the same rounds (the routed protocol has its own wire
-    /// format). Routes and schedules are keyed on the descriptor
-    /// fingerprints *and* the connection epoch: a heal or elastic
-    /// reconfiguration bumps the epoch, which forces a fresh profile and
-    /// plan even when a grow→shrink cycle returns to byte-identical
-    /// descriptors — without the salt, a post-reconfiguration transfer
-    /// silently reuses a route profiled for the old membership.
-    pub fn data_ready_budgeted(
-        &mut self,
-        ic: &InterComm,
-        registry: &FieldRegistry,
-        cache: &ScheduleCache,
-        budget_bytes: u64,
-    ) -> Result<TransferOutcome> {
-        if self.closed {
-            return Ok(TransferOutcome::Closed);
-        }
-        self.calls += 1;
-        let due = match self.kind {
-            ConnectionKind::OneShot => self.transfers == 0,
-            ConnectionKind::Persistent { period } => (self.calls - 1).is_multiple_of(period as u64),
-        };
-        if !due {
-            return Ok(TransferOutcome::Skipped);
-        }
-        let entry = registry.get(&self.field)?;
-        let moved = match self.direction {
-            Direction::Export => {
-                let data = entry.data().read();
-                send_redistributed_budgeted_cached_for_epoch(
-                    cache,
-                    ic,
-                    &self.my_dad,
-                    &self.peer_dad,
-                    &data,
-                    self.tag,
-                    budget_bytes,
-                    self.epoch,
-                )
-            }
-            Direction::Import => recv_redistributed_budgeted_cached_for_epoch::<f64>(
-                cache,
-                ic,
-                &self.peer_dad,
-                &self.my_dad,
-                self.tag,
-                budget_bytes,
-                self.epoch,
-            )
-            .map(|arr| {
-                let n = arr.len();
-                *entry.data().write() = arr;
-                n
-            }),
-        };
-        let elements = match moved {
-            Ok(n) => n,
-            Err(e) => return Err(map_dead(self.tag, e.into())),
-        };
-        if let Some(rank) = ic.any_dead() {
-            return Err(MxnError::PeerFailed { rank, tag: None });
-        }
-        self.transfers += 1;
-        if self.kind == ConnectionKind::OneShot {
-            self.closed = true;
-        }
-        Ok(TransferOutcome::Transferred { elements })
     }
 
     /// Collectively grows the coupling: admits `add_local` world ranks to
@@ -822,12 +786,8 @@ impl MxnConnection {
         match (new_rank, fresh) {
             (Some(nr), Some(arr)) => {
                 registry.rebind_elastic(&self.field, new_my_dad.clone(), nr, arr)?;
-                self.schedule = match self.direction {
-                    Direction::Export => RegionSchedule::for_sender(&new_my_dad, &new_peer_dad, nr),
-                    Direction::Import => {
-                        RegionSchedule::for_receiver(&new_peer_dad, &new_my_dad, nr)
-                    }
-                };
+                let budget = self.plan.budget();
+                self.plan = build_plan(self.direction, &new_my_dad, &new_peer_dad, nr, budget);
             }
             _ => self.closed = true,
         }
@@ -877,17 +837,14 @@ impl MxnConnection {
             AccessMode::ReadWrite,
             Arc::new(RwLock::new(fresh)),
         )?;
-        let schedule = match st.direction {
-            Direction::Export => RegionSchedule::for_sender(&new_my_dad, &new_peer_dad, new_rank),
-            Direction::Import => RegionSchedule::for_receiver(&new_peer_dad, &new_my_dad, new_rank),
-        };
+        let plan = build_plan(st.direction, &new_my_dad, &new_peer_dad, new_rank, None);
         let conn = MxnConnection {
             field: st.field,
             direction: st.direction,
             kind: st.kind,
             my_dad: new_my_dad,
             peer_dad: new_peer_dad,
-            schedule,
+            plan,
             tag: st.tag,
             epoch: st.epoch + 1,
             transactional: st.transactional,
@@ -918,14 +875,13 @@ impl MxnConnection {
             // A transfer is consumable only when *every* partner's message
             // for the next round is present (messages per pair are FIFO,
             // so presence of one per partner = one complete round).
-            let ready = self.schedule.pairs().iter().all(|p| ic.iprobe(p.peer, self.tag).is_some());
-            if !ready || self.schedule.num_messages() == 0 {
+            let schedule = self.plan.schedule();
+            let ready = schedule.pairs().iter().all(|p| ic.iprobe(p.peer, self.tag).is_some());
+            if !ready || schedule.num_messages() == 0 {
                 return Ok(rounds);
             }
             let mut data = entry.data().write();
-            self.schedule
-                .execute_recv(ic, &mut data, self.tag)
-                .map_err(|e| map_dead(self.tag, e.into()))?;
+            self.plan.recv(ic, &mut data, self.tag).map_err(|e| map_dead(self.tag, e.into()))?;
             drop(data);
             self.transfers += 1;
             rounds += 1;
@@ -1560,7 +1516,7 @@ mod elastic_tests {
 }
 
 #[cfg(test)]
-mod budgeted_epoch_tests {
+mod budgeted_tests {
     use super::*;
     use crate::field::{FieldData, FieldRegistry};
     use mxn_dad::{AccessMode, Extents, LocalArray};
@@ -1581,12 +1537,11 @@ mod budgeted_epoch_tests {
         }
     }
 
-    /// The PR 8 follow-on regression: budgeted routes are cached by
-    /// descriptor fingerprints, and a grow→shrink cycle returns to
-    /// *byte-identical* fingerprints. Without the epoch salt the
-    /// post-contract transfer would silently reuse the route profiled
-    /// before the cycle; with it, every elastic epoch re-plans. The cache
-    /// must hold three routes at the end — epochs 0, 1 and 2 — not two.
+    /// Budgeted plans follow the layout through a grow→shrink cycle. The
+    /// connection rebuilds its plan at every reconfiguration, so the grown
+    /// layout runs its own route and the re-shrunk layout — byte-identical
+    /// descriptors to the original — a freshly profiled one, and every
+    /// epoch transfers correctly under the tight budget.
     #[test]
     fn budgeted_routes_replan_across_elastic_epochs() {
         const BUDGET: u64 = 2000;
@@ -1594,12 +1549,11 @@ mod budgeted_epoch_tests {
             let world = p.world();
             let color = if p.rank() < 4 { 0 } else { -1 };
             let pair = world.split(color, 0).unwrap();
-            let cache = ScheduleCache::new();
             if p.rank() == 4 {
                 // Joins the import side for the grown epoch, then retires.
                 let (mut conn, ic, reg) =
                     MxnConnection::join(world, Duration::from_secs(10)).unwrap();
-                conn.data_ready_budgeted(&ic, &reg, &cache, BUDGET).unwrap();
+                conn.data_ready_budgeted(&ic, &reg, BUDGET).unwrap();
                 let d = reg.get("f").unwrap().data().read().clone();
                 for (idx, &v) in d.iter() {
                     assert_eq!(v, coded(&idx, 2.0));
@@ -1635,36 +1589,78 @@ mod budgeted_epoch_tests {
                 let data = reg.register_allocated("f", dst.clone(), AccessMode::Write).unwrap();
                 (data, MxnConnection::accept(&ic, &reg, 0).unwrap())
             };
+            let check = |step: f64| {
+                if side == 1 {
+                    for (idx, &v) in data.read().iter() {
+                        assert_eq!(v, coded(&idx, step), "budgeted transfer at step {step}");
+                    }
+                }
+            };
             // Epoch 0 at the original size.
-            conn.data_ready_budgeted(&ic, &reg, &cache, BUDGET).unwrap();
-            assert_eq!(cache.routes_len(), 1);
+            conn.data_ready_budgeted(&ic, &reg, BUDGET).unwrap();
+            check(1.0);
+            let original = conn.plan.route().cloned().unwrap();
+            assert!(original.rounds() > 1, "the tight budget chunks the transfer");
             // Grow the import side onto rank 4, transfer at epoch 1.
             let (add_l, add_r) = if side == 0 { (&[][..], &[4][..]) } else { (&[4][..], &[][..]) };
             let (grown, _) = conn.expand(&ic, world, &mut reg, add_l, add_r).unwrap();
+            assert_eq!(conn.plan.budget(), Some(BUDGET), "the rebuilt plan keeps its budget");
+            assert_ne!(conn.plan.route(), Some(&original), "the grown layout plans its own route");
             if side == 0 {
                 refill(&data, 2.0);
             }
-            conn.data_ready_budgeted(&grown, &reg, &cache, BUDGET).unwrap();
-            assert_eq!(cache.routes_len(), 2, "the grown layout planned its own route");
-            // Contract back: fingerprints return to the pre-grow values.
+            conn.data_ready_budgeted(&grown, &reg, BUDGET).unwrap();
+            check(2.0);
+            // Contract back: descriptors return to the pre-grow values.
             let (shrunk, _) = conn.contract(&grown, world, &mut reg, &[0, 1], &[0, 1]).unwrap();
             let shrunk = shrunk.unwrap();
             let peer_fp =
                 if side == 0 { conn.peer_dad.fingerprint() } else { conn.my_dad.fingerprint() };
             assert_eq!(peer_fp, original_fp, "the cycle returns to identical descriptors");
+            assert_eq!(conn.plan.route(), Some(&original), "re-profiled for the original layout");
             if side == 0 {
                 refill(&data, 3.0);
             }
-            conn.data_ready_budgeted(&shrunk, &reg, &cache, BUDGET).unwrap();
-            assert_eq!(
-                cache.routes_len(),
-                3,
-                "identical fingerprints at a new epoch must re-plan, not reuse the stale route"
-            );
-            if side == 1 {
-                let d = data.read();
-                for (idx, &v) in d.iter() {
-                    assert_eq!(v, coded(&idx, 3.0), "post-cycle budgeted transfer fits");
+            conn.data_ready_budgeted(&shrunk, &reg, BUDGET).unwrap();
+            check(3.0);
+        });
+    }
+
+    /// A budgeted transfer on a transactional connection is refused on
+    /// both sides before anything moves: no call is counted and the
+    /// import field keeps its data.
+    #[test]
+    fn budgeted_transfer_refuses_transactional_connections() {
+        mxn_runtime::Universe::run(&[2, 2], |_, ctx| {
+            let rank = ctx.comm.rank();
+            let mut reg = FieldRegistry::new(rank);
+            let src = Dad::block(Extents::new([24, 24]), &[2, 1]).unwrap();
+            let dst = Dad::block(Extents::new([24, 24]), &[1, 2]).unwrap();
+            let kind = ConnectionKind::Persistent { period: 1 };
+            let (ic, data, mut conn) = if ctx.program == 0 {
+                let ic = ctx.intercomm(1);
+                let data: FieldData =
+                    Arc::new(RwLock::new(LocalArray::from_fn(&src, rank, |idx| coded(idx, 1.0))));
+                reg.register("f", src, AccessMode::Read, data.clone()).unwrap();
+                let conn = MxnConnection::initiate(ic, &reg, 0, "f", "f", Direction::Export, kind)
+                    .unwrap();
+                (ic, data, conn)
+            } else {
+                let ic = ctx.intercomm(0);
+                let data = reg.register_allocated("f", dst, AccessMode::Write).unwrap();
+                (ic, data, MxnConnection::accept(ic, &reg, 0).unwrap())
+            };
+            conn.set_transactional(true);
+            let before = data.read().clone();
+            let err = conn.data_ready_budgeted(ic, &reg, 2000).unwrap_err();
+            assert_eq!(err, MxnError::BudgetedTransaction { budget_bytes: 2000 });
+            assert_eq!(conn.stats(), (0, 0), "no call was counted");
+            assert_eq!(*data.read(), before, "the field is unchanged");
+            // The connection still runs its transactional direct path.
+            conn.data_ready(ic, &reg).unwrap();
+            if ctx.program == 1 {
+                for (idx, &v) in data.read().iter() {
+                    assert_eq!(v, coded(&idx, 1.0));
                 }
             }
         });

@@ -68,6 +68,13 @@ pub enum MxnError {
         /// Transfer sequence number that was rolled back.
         seq: u64,
     },
+    /// A budgeted transfer was asked to run on a transactional
+    /// connection. The commit vote needs every pairwise message staged at
+    /// once, which a staging budget exists to forbid, so nothing was moved.
+    BudgetedTransaction {
+        /// The per-rank budget the transfer asked for.
+        budget_bytes: u64,
+    },
     /// Underlying messaging failure.
     Runtime(RuntimeError),
 }
@@ -97,6 +104,11 @@ impl fmt::Display for MxnError {
             MxnError::TransferAborted { epoch, seq } => write!(
                 f,
                 "transfer {seq} (epoch {epoch}) rolled back: the collective commit vote failed"
+            ),
+            MxnError::BudgetedTransaction { budget_bytes } => write!(
+                f,
+                "a {budget_bytes}-byte budgeted transfer cannot run transactionally: staging \
+                 every message for the commit vote would break the budget"
             ),
             MxnError::Runtime(e) => write!(f, "runtime error: {e}"),
         }

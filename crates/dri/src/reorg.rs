@@ -1,6 +1,6 @@
 //! Incremental, user-driven reorganization — DRI's get/put model.
 //!
-//! "The user provides send and receive buffers and repeatedly call[s] DRI
+//! "The user provides send and receive buffers and repeatedly call\[s\] DRI
 //! get/put operations until the operation is complete." A [`DriReorg`] is
 //! built collectively from the source and destination partitions; each
 //! [`DriReorg::put`] ships one destination peer's chunk out of the user's

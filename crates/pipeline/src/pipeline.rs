@@ -22,7 +22,7 @@ use std::sync::Arc;
 
 use mxn_dad::{Dad, LocalArray};
 use mxn_runtime::{Comm, Result};
-use mxn_schedule::redistribute_within;
+use mxn_schedule::{Redistribution, Side};
 
 use crate::filter::{fuse_affine, Filter};
 
@@ -174,7 +174,11 @@ impl Pipeline {
                     }
                 }
                 Stage::Redistribute(d) => {
-                    current = redistribute_within(comm, &current_dad, d, &current, tag)?;
+                    let mut plan =
+                        Redistribution::new(&current_dad, d, comm.rank(), Side::Within, None);
+                    let mut next = LocalArray::allocate(d, comm.rank());
+                    plan.within(comm, &current, &mut next, tag)?;
+                    current = next;
                     current_dad = d.clone();
                     tag += 1;
                 }

@@ -89,6 +89,15 @@ pub enum RuntimeError {
         /// The attempt number that aborted.
         attempt: u64,
     },
+    /// A membership protocol (agreement, shrink, reconfiguration) was
+    /// asked to cover more participants than its `u64` rank masks can
+    /// name. Nothing was sent; the communicator is unchanged.
+    TooManyParticipants {
+        /// Participants the protocol was asked to cover.
+        n: usize,
+        /// The most a mask can name ([`MASK_PARTICIPANTS`]).
+        max: usize,
+    },
     /// A message was refused before sending because its encoding exceeds
     /// what the transport can carry in one frame.
     PayloadTooLarge {
@@ -99,7 +108,19 @@ pub enum RuntimeError {
     },
 }
 
+/// The most participants a membership protocol's `u64` rank masks can name.
+pub const MASK_PARTICIPANTS: usize = 64;
+
 impl RuntimeError {
+    /// `Ok` when `n` participants fit a membership mask, otherwise
+    /// [`RuntimeError::TooManyParticipants`].
+    pub fn check_mask_width(n: usize) -> Result<()> {
+        if n > MASK_PARTICIPANTS {
+            return Err(RuntimeError::TooManyParticipants { n, max: MASK_PARTICIPANTS });
+        }
+        Ok(())
+    }
+
     /// Builds a [`RuntimeError::Timeout`] recording what was waited on.
     pub fn timeout(waiting_for: impl Into<String>, elapsed: Duration, src: Src, tag: Tag) -> Self {
         RuntimeError::Timeout { waiting_for: waiting_for.into(), elapsed, src, tag }
@@ -170,6 +191,10 @@ impl fmt::Display for RuntimeError {
                      aborted; the old communicator remains valid"
                 )
             }
+            RuntimeError::TooManyParticipants { n, max } => write!(
+                f,
+                "membership masks name at most {max} participants, but {n} were asked for"
+            ),
             RuntimeError::PayloadTooLarge { bytes, max } => {
                 write!(f, "encoded payload of {bytes} bytes exceeds the {max}-byte message limit")
             }

@@ -443,7 +443,7 @@ impl InterComm {
     /// layers can re-derive data decompositions.
     pub fn shrink_with_report(&self) -> Result<(InterComm, ShrinkReport)> {
         let members = self.union_sorted();
-        assert!(members.len() <= 64, "shrink masks are u64: at most 64 participants");
+        RuntimeError::check_mask_width(members.len())?;
         let liveness = self.shared.liveness();
         let mut mask = 0u64;
         for (i, &g) in members.iter().enumerate() {
@@ -559,7 +559,7 @@ impl InterComm {
         participants.extend(new_members.iter().copied());
         participants.sort_unstable();
         participants.dedup();
-        assert!(participants.len() <= 64, "reconfigure masks are u64: at most 64 participants");
+        RuntimeError::check_mask_width(participants.len())?;
 
         // In lockstep on every incumbent: reconfigure is collective.
         let attempt = self.recovery_seq.get();

@@ -69,7 +69,7 @@ pub use cart::{dims_create, CartComm};
 pub use collectives::SMALL_COLLECTIVE_BYTES;
 pub use comm::Comm;
 pub use envelope::{MessageInfo, Payload, Src, Tag};
-pub use error::{Result, RuntimeError};
+pub use error::{Result, RuntimeError, MASK_PARTICIPANTS};
 pub use fault::{
     splitmix64, unit, ChannelPolicy, FaultConfig, FaultEvent, FaultKind, FaultTrace, Liveness,
     RankDeath,

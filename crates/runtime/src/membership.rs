@@ -27,7 +27,7 @@
 //! system buys with a separately-provisioned control network.
 //!
 //! Survivor contexts are distributed through a shared registry
-//! ([`Revocations::survivor_context`]) keyed on `(old context, agreed
+//! (`Revocations::survivor_context`) keyed on `(old context, agreed
 //! survivor mask)`: the first survivor to arrive allocates the fresh
 //! context pair, later arrivals read the same id. Like the liveness
 //! registry, this exploits the in-process runtime; a distributed
@@ -376,7 +376,7 @@ pub(crate) fn agree_over(
     seq: u64,
     value: u64,
 ) -> Result<u64> {
-    assert!(members.len() <= 64, "agreement masks are u64: at most 64 participants");
+    RuntimeError::check_mask_width(members.len())?;
     // Reliable control channel: message faults are disarmed for the
     // protocol's own traffic, then the previous arming is restored.
     let was_armed = shared.fault().map(|fp| fp.is_armed(my_global));
@@ -475,7 +475,7 @@ impl<'a> Membership<'a> {
         let comm = self.comm;
         let shared = comm.shared();
         let n = comm.size();
-        assert!(n <= 64, "shrink masks are u64: at most 64 participants");
+        RuntimeError::check_mask_width(n)?;
         let liveness = shared.liveness();
         let mut mask = 0u64;
         for (i, &g) in comm.group().iter().enumerate() {
@@ -609,6 +609,16 @@ mod tests {
             // included.
             let total: u64 = s.allreduce(c.rank() as u64, |a, b| *a += b).unwrap();
             assert_eq!(total, 2 + 3);
+        });
+    }
+
+    /// A world wider than the membership masks gets a typed error from
+    /// shrink on every rank instead of unwinding.
+    #[test]
+    fn shrink_past_the_mask_width_is_a_typed_error() {
+        World::run(65, |p| {
+            let err = p.world().membership().shrink().err();
+            assert_eq!(err, Some(RuntimeError::TooManyParticipants { n: 65, max: 64 }));
         });
     }
 

@@ -19,32 +19,27 @@
 //!   translation.
 //!
 //! Both are built *per rank with no coordinator* (scalability requirement
-//! of §3), are reusable across transfers and across arrays conforming to
-//! the same templates ([`ScheduleCache`]), and execute over either an
-//! inter-communicator (coupled programs) or a single communicator
-//! (self-connections such as transposes).
+//! of §3). Region schedules execute through one plan value,
+//! [`Redistribution`]: built per rank from `(src, dst, rank, side,
+//! budget)`, it owns the schedules, the [`RedistRoute`] they run over
+//! (planned by [`RoutePlanner`] under an optional per-rank memory budget)
+//! and a buffer pool, and moves data with `send`/`recv` across an
+//! inter-communicator (coupled programs) or `within` one communicator
+//! (self-connections such as transposes). Holding the value reuses it
+//! across transfers and across arrays conforming to the same templates.
 
-pub mod cache;
 pub mod halo;
 pub mod linear_schedule;
 pub mod plan;
-pub mod redistribute;
+pub mod redistribution;
 pub mod region_schedule;
 pub mod route;
 
-pub use cache::ScheduleCache;
 pub use halo::{GhostedPatch, HaloSchedule};
 pub use linear_schedule::LinearSchedule;
 pub use plan::{CopyPlan, TransferBuffers};
-pub use redistribute::{
-    recv_redistributed, recv_redistributed_budgeted, recv_redistributed_budgeted_cached,
-    recv_redistributed_budgeted_cached_for_epoch, recv_redistributed_cached, redistribute_within,
-    redistribute_within_budgeted, redistribute_within_pooled, send_redistributed,
-    send_redistributed_budgeted, send_redistributed_budgeted_cached,
-    send_redistributed_budgeted_cached_for_epoch, send_redistributed_cached,
-};
+pub use redistribution::{Redistribution, Side};
 pub use region_schedule::{PairRegions, RegionSchedule, Role};
 pub use route::{
-    execute_recv_routed, execute_send_routed, execute_within_routed, RedistProfile, RedistRoute,
-    RouteKind, RoutePlanner, RouteStep, StepOp, ROUTE_ACK_BIT,
+    RedistProfile, RedistRoute, RouteKind, RoutePlanner, RouteStep, StepOp, ROUTE_ACK_BIT,
 };

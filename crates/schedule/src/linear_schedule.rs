@@ -115,8 +115,8 @@ impl LinearSchedule {
         Ok(moved)
     }
 
-    /// Intra-communicator redistribution; see
-    /// [`crate::RegionSchedule::execute_local`].
+    /// Intra-communicator redistribution: every rank posts all its sends
+    /// before any receive, as [`crate::Redistribution::within`] does.
     #[allow(clippy::too_many_arguments)]
     pub fn execute_local<T>(
         send: &LinearSchedule,

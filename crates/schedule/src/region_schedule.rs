@@ -19,8 +19,9 @@
 //!    baseline that produces byte-identical schedules.
 //! 2. **Plan compilation.** Every per-peer region list is compiled into a
 //!    [`CopyPlan`] against this rank's patch layout, so steady-state
-//!    execution is `copy_from_slice` runs into pooled buffers
-//!    ([`TransferBuffers`]) with no per-region allocation.
+//!    execution (by a [`crate::Redistribution`]) is `copy_from_slice` runs
+//!    into pooled buffers ([`crate::TransferBuffers`]) with no per-region
+//!    allocation.
 //!
 //! Because sender and receiver compute the same pairwise intersections and
 //! canonicalize their order, a transfer message carries *only data*: one
@@ -30,9 +31,9 @@
 
 use std::collections::BTreeMap;
 
-use crate::plan::{CopyPlan, TransferBuffers};
+use crate::plan::CopyPlan;
 use mxn_dad::{Dad, LocalArray, Region};
-use mxn_runtime::{record_schedule_build, Comm, InterComm, MsgSize, Result};
+use mxn_runtime::record_schedule_build;
 
 /// The regions this rank exchanges with one peer, canonically ordered.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -223,7 +224,7 @@ impl RegionSchedule {
             .sum()
     }
 
-    fn check_layout<T>(&self, local: &LocalArray<T>) {
+    pub(crate) fn check_layout<T>(&self, local: &LocalArray<T>) {
         assert!(
             local.num_patches() == self.my_patches.len()
                 && local.regions().eq(self.my_patches.iter()),
@@ -244,148 +245,13 @@ impl RegionSchedule {
         self.check_layout(local);
         self.plans[i].unpack_from(local, data);
     }
-
-    /// Sender side, across an inter-communicator: one packed message per
-    /// destination peer. Returns elements sent.
-    ///
-    /// # Panics
-    /// If the schedule's role is not [`Role::Sender`].
-    pub fn execute_send<T>(&self, ic: &InterComm, local: &LocalArray<T>, tag: i32) -> Result<usize>
-    where
-        T: Copy + Send + MsgSize + 'static,
-    {
-        let mut pool = TransferBuffers::new();
-        self.execute_send_pooled(ic, local, tag, &mut pool)
-    }
-
-    /// [`Self::execute_send`] drawing message buffers from a caller-owned
-    /// pool (the transport consumes the buffer, so sends alone cannot
-    /// recycle — pair with a receive path that feeds the same pool).
-    pub fn execute_send_pooled<T>(
-        &self,
-        ic: &InterComm,
-        local: &LocalArray<T>,
-        tag: i32,
-        pool: &mut TransferBuffers<T>,
-    ) -> Result<usize>
-    where
-        T: Copy + Send + MsgSize + 'static,
-    {
-        assert_eq!(self.role, Role::Sender, "execute_send needs a sender schedule");
-        self.check_layout(local);
-        let mut moved = 0;
-        for (pair, plan) in self.pairs.iter().zip(&self.plans) {
-            let mut buf = pool.lease(plan.total());
-            plan.pack_into(local, &mut buf);
-            moved += buf.len();
-            ic.send(pair.peer, tag, buf)?;
-        }
-        Ok(moved)
-    }
-
-    /// Receiver side, across an inter-communicator. Returns elements
-    /// received.
-    ///
-    /// # Panics
-    /// If the schedule's role is not [`Role::Receiver`].
-    pub fn execute_recv<T>(
-        &self,
-        ic: &InterComm,
-        local: &mut LocalArray<T>,
-        tag: i32,
-    ) -> Result<usize>
-    where
-        T: Copy + Send + MsgSize + 'static,
-    {
-        let mut pool = TransferBuffers::new();
-        self.execute_recv_pooled(ic, local, tag, &mut pool)
-    }
-
-    /// [`Self::execute_recv`] recycling every received buffer into a
-    /// caller-owned pool for later sends to draw from.
-    pub fn execute_recv_pooled<T>(
-        &self,
-        ic: &InterComm,
-        local: &mut LocalArray<T>,
-        tag: i32,
-        pool: &mut TransferBuffers<T>,
-    ) -> Result<usize>
-    where
-        T: Copy + Send + MsgSize + 'static,
-    {
-        assert_eq!(self.role, Role::Receiver, "execute_recv needs a receiver schedule");
-        self.check_layout(local);
-        let mut moved = 0;
-        for (pair, plan) in self.pairs.iter().zip(&self.plans) {
-            let data: Vec<T> = ic.recv(pair.peer, tag)?;
-            moved += data.len();
-            plan.unpack_from(local, &data);
-            pool.recycle(data);
-        }
-        Ok(moved)
-    }
-
-    /// Intra-communicator redistribution (e.g. a transpose
-    /// self-connection): every rank sends with its sender schedule and
-    /// receives with its receiver schedule over the same communicator.
-    /// All sends are posted before any receive, so the exchange cannot
-    /// deadlock.
-    pub fn execute_local<T>(
-        send: &RegionSchedule,
-        recv: &RegionSchedule,
-        comm: &Comm,
-        src_local: &LocalArray<T>,
-        dst_local: &mut LocalArray<T>,
-        tag: i32,
-    ) -> Result<usize>
-    where
-        T: Copy + Send + MsgSize + 'static,
-    {
-        let mut pool = TransferBuffers::new();
-        Self::execute_local_pooled(send, recv, comm, src_local, dst_local, tag, &mut pool)
-    }
-
-    /// [`Self::execute_local`] with a caller-owned buffer pool. Because
-    /// every rank both sends and receives, buffers circulate: received
-    /// buffers are recycled and satisfy the next step's leases, so fresh
-    /// allocation stops after the first step of a steady-state exchange.
-    pub fn execute_local_pooled<T>(
-        send: &RegionSchedule,
-        recv: &RegionSchedule,
-        comm: &Comm,
-        src_local: &LocalArray<T>,
-        dst_local: &mut LocalArray<T>,
-        tag: i32,
-        pool: &mut TransferBuffers<T>,
-    ) -> Result<usize>
-    where
-        T: Copy + Send + MsgSize + 'static,
-    {
-        assert_eq!(send.role, Role::Sender);
-        assert_eq!(recv.role, Role::Receiver);
-        send.check_layout(src_local);
-        recv.check_layout(dst_local);
-        for (pair, plan) in send.pairs.iter().zip(&send.plans) {
-            let mut buf = pool.lease(plan.total());
-            plan.pack_into(src_local, &mut buf);
-            comm.send(pair.peer, tag, buf)?;
-        }
-        let mut moved = 0;
-        for (pair, plan) in recv.pairs.iter().zip(&recv.plans) {
-            let data: Vec<T> = comm.recv(pair.peer, tag)?;
-            moved += data.len();
-            plan.unpack_from(dst_local, &data);
-            pool.recycle(data);
-        }
-        Ok(moved)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use mxn_dad::{AxisDist, Extents, Template};
-    use mxn_runtime::{reset_schedule_stats, schedule_stats, Universe, World};
+    use mxn_runtime::{reset_schedule_stats, schedule_stats};
 
     fn value(idx: &[usize], cols: usize) -> f64 {
         (idx[0] * cols + idx[1]) as f64
@@ -495,173 +361,6 @@ mod tests {
         let mut out = Vec::new();
         let r = std::panic::catch_unwind(move || sched.pack_pair_into(0, &local, &mut out));
         assert!(r.is_err());
-    }
-
-    fn end_to_end(
-        m: usize,
-        n: usize,
-        rows: usize,
-        cols: usize,
-        src_grid: &[usize],
-        dst_grid: &[usize],
-    ) {
-        let src_grid = src_grid.to_vec();
-        let dst_grid = dst_grid.to_vec();
-        Universe::run(&[m, n], move |_, ctx| {
-            let e = Extents::new([rows, cols]);
-            let src = Dad::block(e.clone(), &src_grid).unwrap();
-            let dst = Dad::block(e, &dst_grid).unwrap();
-            if ctx.program == 0 {
-                let sched = RegionSchedule::for_sender(&src, &dst, ctx.comm.rank());
-                let local = LocalArray::from_fn(&src, ctx.comm.rank(), |idx| value(idx, cols));
-                sched.execute_send(ctx.intercomm(1), &local, 1).unwrap();
-            } else {
-                let sched = RegionSchedule::for_receiver(&src, &dst, ctx.comm.rank());
-                let mut local: LocalArray<f64> = LocalArray::allocate(&dst, ctx.comm.rank());
-                let moved = sched.execute_recv(ctx.intercomm(0), &mut local, 1).unwrap();
-                assert_eq!(moved, local.len());
-                for (idx, &v) in local.iter() {
-                    assert_eq!(v, value(&idx, cols), "at {idx:?}");
-                }
-            }
-        });
-    }
-
-    #[test]
-    fn rows_to_cols_2x2() {
-        end_to_end(2, 2, 6, 6, &[2, 1], &[1, 2]);
-    }
-
-    #[test]
-    fn figure1_8_to_27_shape() {
-        // The paper's Figure 1 layout in 2-D grids: 8 = 4×2 → 6 = 2×3.
-        end_to_end(8, 6, 12, 12, &[4, 2], &[2, 3]);
-    }
-
-    #[test]
-    fn one_to_many() {
-        end_to_end(1, 6, 6, 6, &[1, 1], &[2, 3]);
-    }
-
-    #[test]
-    fn many_to_one() {
-        end_to_end(6, 1, 6, 6, &[2, 3], &[1, 1]);
-    }
-
-    #[test]
-    fn block_cyclic_source() {
-        Universe::run(&[2, 2], |_, ctx| {
-            let e = Extents::new([8, 4]);
-            let src = Dad::regular(
-                Template::new(
-                    e.clone(),
-                    vec![AxisDist::BlockCyclic { block: 2, nprocs: 2 }, AxisDist::Collapsed],
-                )
-                .unwrap(),
-            );
-            let dst = Dad::block(e, &[2, 1]).unwrap();
-            if ctx.program == 0 {
-                let sched = RegionSchedule::for_sender(&src, &dst, ctx.comm.rank());
-                let local = LocalArray::from_fn(&src, ctx.comm.rank(), |idx| value(idx, 4));
-                sched.execute_send(ctx.intercomm(1), &local, 0).unwrap();
-            } else {
-                let sched = RegionSchedule::for_receiver(&src, &dst, ctx.comm.rank());
-                let mut local: LocalArray<f64> = LocalArray::allocate(&dst, ctx.comm.rank());
-                sched.execute_recv(ctx.intercomm(0), &mut local, 0).unwrap();
-                for (idx, &v) in local.iter() {
-                    assert_eq!(v, value(&idx, 4));
-                }
-            }
-        });
-    }
-
-    #[test]
-    fn intra_comm_transpose() {
-        // Same 4 ranks redistribute row-blocks to col-blocks in place.
-        World::run(4, |p| {
-            let comm = p.world();
-            let e = Extents::new([8, 8]);
-            let src = Dad::block(e.clone(), &[4, 1]).unwrap();
-            let dst = Dad::block(e, &[1, 4]).unwrap();
-            let send = RegionSchedule::for_sender(&src, &dst, comm.rank());
-            let recv = RegionSchedule::for_receiver(&src, &dst, comm.rank());
-            let src_local = LocalArray::from_fn(&src, comm.rank(), |idx| value(idx, 8));
-            let mut dst_local: LocalArray<f64> = LocalArray::allocate(&dst, comm.rank());
-            let moved =
-                RegionSchedule::execute_local(&send, &recv, comm, &src_local, &mut dst_local, 3)
-                    .unwrap();
-            assert_eq!(moved, 16);
-            for (idx, &v) in dst_local.iter() {
-                assert_eq!(v, value(&idx, 8));
-            }
-        });
-    }
-
-    #[test]
-    fn pooled_transpose_stops_allocating_after_first_step() {
-        World::run(4, |p| {
-            let comm = p.world();
-            let e = Extents::new([8, 8]);
-            let src = Dad::block(e.clone(), &[4, 1]).unwrap();
-            let dst = Dad::block(e, &[1, 4]).unwrap();
-            let send = RegionSchedule::for_sender(&src, &dst, comm.rank());
-            let recv = RegionSchedule::for_receiver(&src, &dst, comm.rank());
-            let src_local = LocalArray::from_fn(&src, comm.rank(), |idx| value(idx, 8));
-            let mut dst_local: LocalArray<f64> = LocalArray::allocate(&dst, comm.rank());
-            let mut pool = TransferBuffers::new();
-            let mut after_first = 0;
-            for step in 0..6 {
-                RegionSchedule::execute_local_pooled(
-                    &send,
-                    &recv,
-                    comm,
-                    &src_local,
-                    &mut dst_local,
-                    step,
-                    &mut pool,
-                )
-                .unwrap();
-                // Everyone recycles what they received before the next
-                // step's sends, so the steady state leases from the pool.
-                comm.barrier().unwrap();
-                if step == 0 {
-                    after_first = pool.stats().1;
-                }
-            }
-            let (leases, fresh) = pool.stats();
-            assert_eq!(leases, 6 * send.num_messages() as u64);
-            assert_eq!(fresh, after_first, "steady-state steps allocated fresh buffers");
-            for (idx, &v) in dst_local.iter() {
-                assert_eq!(v, value(&idx, 8));
-            }
-        });
-    }
-
-    #[test]
-    fn schedule_reuse_same_object_multiple_transfers() {
-        Universe::run(&[2, 3], |_, ctx| {
-            let e = Extents::new([6, 6]);
-            let src = Dad::block(e.clone(), &[2, 1]).unwrap();
-            let dst = Dad::block(e, &[1, 3]).unwrap();
-            if ctx.program == 0 {
-                let sched = RegionSchedule::for_sender(&src, &dst, ctx.comm.rank());
-                for step in 0..5i64 {
-                    let local = LocalArray::from_fn(&src, ctx.comm.rank(), |idx| {
-                        (idx[0] * 6 + idx[1]) as i64 + step * 100
-                    });
-                    sched.execute_send(ctx.intercomm(1), &local, step as i32).unwrap();
-                }
-            } else {
-                let sched = RegionSchedule::for_receiver(&src, &dst, ctx.comm.rank());
-                for step in 0..5i64 {
-                    let mut local: LocalArray<i64> = LocalArray::allocate(&dst, ctx.comm.rank());
-                    sched.execute_recv(ctx.intercomm(0), &mut local, step as i32).unwrap();
-                    for (idx, &v) in local.iter() {
-                        assert_eq!(v, (idx[0] * 6 + idx[1]) as i64 + step * 100);
-                    }
-                }
-            }
-        });
     }
 
     #[test]

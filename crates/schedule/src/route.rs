@@ -1,8 +1,8 @@
 //! Collective-route redistribution planning under per-rank memory budgets.
 //!
-//! The direct M×N path ([`RegionSchedule::execute_send`] /
-//! [`RegionSchedule::execute_recv`]) is message-optimal — one packed buffer
-//! per overlapping peer — but not memory-optimal: with eager sends, a
+//! The direct M×N path (an unbudgeted [`crate::Redistribution`]) is
+//! message-optimal — one packed buffer per overlapping peer — but not
+//! memory-optimal: with eager sends, a
 //! receiver's mailbox holds its *entire* incoming set before the first
 //! `recv` drains it, so the per-rank transfer footprint reaches the full
 //! destination shard on top of the destination allocation (≈ 2× shard).
@@ -34,23 +34,20 @@
 //! failing). Both sides of a transfer derive the plan from the descriptor
 //! pair alone — no negotiation round is needed for them to agree.
 //!
-//! Every execution opens a `RoutePlan` trace span with one `RouteStep`
-//! span per executed step, and threads live-transfer bytes through
-//! [`record_transfer_acquired`] / [`record_transfer_released`] so
+//! A budgeted [`crate::Redistribution`] plans its route once at build time
+//! and executes it: every transfer opens a `RoutePlan` trace span with one
+//! `RouteStep` span per executed step, and threads live-transfer bytes
+//! through [`mxn_runtime::record_transfer_acquired`] /
+//! [`mxn_runtime::record_transfer_released`] so
 //! [`mxn_runtime::ScheduleStats`] exposes the measured high-water mark the
 //! declared bounds promise.
 
 use std::time::Duration;
 
-use mxn_dad::{Dad, LocalArray};
-use mxn_runtime::{
-    record_transfer_acquired, record_transfer_released, Comm, InterComm, MsgSize, NetworkModel,
-    Result,
-};
-use mxn_trace::EventId;
+use mxn_dad::Dad;
+use mxn_runtime::NetworkModel;
 
-use crate::plan::{CopyPlan, TransferBuffers};
-use crate::region_schedule::{RegionSchedule, Role};
+use crate::region_schedule::RegionSchedule;
 
 /// Round-fence acknowledgements travel on the transfer tag with this bit
 /// set, so they can never match a data receive. User tags must keep the
@@ -349,343 +346,6 @@ impl RoutePlanner {
     ) -> RedistRoute {
         self.plan(&RedistProfile::compute(src, dst, elem_size), budget_bytes, intra)
     }
-}
-
-fn route_span(route: &RedistRoute) -> mxn_trace::SpanGuard {
-    mxn_trace::span(
-        EventId::RoutePlan,
-        [route.kind.code(), route.budget_bytes, route.peak_bytes, route.steps.len() as u64],
-    )
-}
-
-/// Per-pair round counts under a chunk size, identical on both sides by
-/// the schedule mirror property.
-fn pair_rounds(sched: &RegionSchedule, chunk: usize) -> Vec<usize> {
-    (0..sched.pairs().len()).map(|i| sched.plan(i).total().div_ceil(chunk)).collect()
-}
-
-/// Sender side of a planned route across an inter-communicator.
-/// Returns elements sent.
-pub fn execute_send_routed<T>(
-    route: &RedistRoute,
-    sched: &RegionSchedule,
-    ic: &InterComm,
-    local: &LocalArray<T>,
-    tag: i32,
-    pool: &mut TransferBuffers<T>,
-) -> Result<usize>
-where
-    T: Copy + Send + MsgSize + 'static,
-{
-    let mut span = route_span(route);
-    let moved = match route.kind {
-        RouteKind::Direct => {
-            let mut step = mxn_trace::span(EventId::RouteStep, [route.kind.code(), 0, 0, 0]);
-            let moved = sched.execute_send_pooled(ic, local, tag, pool)?;
-            step.set_end([route.kind.code(), 0, moved as u64 * size_of::<T>() as u64, 0]);
-            moved
-        }
-        RouteKind::Chunked => chunked_send(route, sched, ic, local, tag, pool)?,
-        RouteKind::AllgatherSlice => {
-            panic!("allgather-slice routes only apply within one communicator")
-        }
-    };
-    span.set_end([route.kind.code(), moved as u64 * size_of::<T>() as u64, 0, 0]);
-    Ok(moved)
-}
-
-/// Receiver side of a planned route across an inter-communicator.
-/// Returns elements received.
-pub fn execute_recv_routed<T>(
-    route: &RedistRoute,
-    sched: &RegionSchedule,
-    ic: &InterComm,
-    local: &mut LocalArray<T>,
-    tag: i32,
-    pool: &mut TransferBuffers<T>,
-) -> Result<usize>
-where
-    T: Copy + Send + MsgSize + 'static,
-{
-    let mut span = route_span(route);
-    let moved = match route.kind {
-        RouteKind::Direct => {
-            let mut step = mxn_trace::span(EventId::RouteStep, [route.kind.code(), 0, 0, 0]);
-            let moved = sched.execute_recv_pooled(ic, local, tag, pool)?;
-            step.set_end([route.kind.code(), 0, moved as u64 * size_of::<T>() as u64, 0]);
-            moved
-        }
-        RouteKind::Chunked => chunked_recv(route, sched, ic, local, tag, pool)?,
-        RouteKind::AllgatherSlice => {
-            panic!("allgather-slice routes only apply within one communicator")
-        }
-    };
-    span.set_end([route.kind.code(), moved as u64 * size_of::<T>() as u64, 0, 0]);
-    Ok(moved)
-}
-
-/// Intra-communicator execution of a planned route (every rank of `comm`
-/// calls this collectively). `src` is the source descriptor — the
-/// allgather lowering needs it to slice peers' gathered shards. Returns
-/// elements received into `dst_local`.
-#[allow(clippy::too_many_arguments)]
-pub fn execute_within_routed<T>(
-    route: &RedistRoute,
-    send: &RegionSchedule,
-    recv: &RegionSchedule,
-    comm: &Comm,
-    src: &Dad,
-    src_local: &LocalArray<T>,
-    dst_local: &mut LocalArray<T>,
-    tag: i32,
-    pool: &mut TransferBuffers<T>,
-) -> Result<usize>
-where
-    T: Copy + Send + Sync + MsgSize + 'static,
-{
-    let mut span = route_span(route);
-    let moved = match route.kind {
-        RouteKind::Direct => {
-            let mut step = mxn_trace::span(EventId::RouteStep, [route.kind.code(), 0, 0, 0]);
-            let moved = RegionSchedule::execute_local_pooled(
-                send, recv, comm, src_local, dst_local, tag, pool,
-            )?;
-            step.set_end([route.kind.code(), 0, moved as u64 * size_of::<T>() as u64, 0]);
-            moved
-        }
-        RouteKind::Chunked => {
-            chunked_within(route, send, recv, comm, src_local, dst_local, tag, pool)?
-        }
-        RouteKind::AllgatherSlice => allgather_within(recv, comm, src, src_local, dst_local, pool)?,
-    };
-    span.set_end([route.kind.code(), moved as u64 * size_of::<T>() as u64, 0, 0]);
-    Ok(moved)
-}
-
-/// One chunked round, sender half: packs and posts the round-`k` chunk of
-/// every still-active pair. Returns `(elements, bytes)` posted.
-fn post_round<T>(
-    sched: &RegionSchedule,
-    rounds: &[usize],
-    chunk: usize,
-    k: usize,
-    send: impl Fn(usize, Vec<T>) -> Result<()>,
-    local: &LocalArray<T>,
-    pool: &mut TransferBuffers<T>,
-) -> Result<(usize, u64)>
-where
-    T: Copy,
-{
-    let mut moved = 0usize;
-    let mut posted = 0u64;
-    for (i, pair) in sched.pairs().iter().enumerate() {
-        if k >= rounds[i] {
-            continue;
-        }
-        let plan = sched.plan(i);
-        let lo = k * chunk;
-        let hi = (lo + chunk).min(plan.total());
-        let mut buf = pool.lease(hi - lo);
-        plan.pack_range_into(local, &mut buf, lo, hi);
-        let bytes = (buf.len() * size_of::<T>()) as u64;
-        record_transfer_acquired(bytes);
-        moved += buf.len();
-        send(pair.peer, buf)?;
-        // The transport owns the buffer now; the receiver's mailbox
-        // accounting carries it from here.
-        record_transfer_released(bytes);
-        posted += bytes;
-    }
-    Ok((moved, posted))
-}
-
-/// One chunked round, receiver half: drains and unpacks the round-`k`
-/// chunk of every still-active pair. Returns elements received.
-fn drain_round<T>(
-    sched: &RegionSchedule,
-    rounds: &[usize],
-    chunk: usize,
-    k: usize,
-    recv: impl Fn(usize) -> Result<Vec<T>>,
-    local: &mut LocalArray<T>,
-    pool: &mut TransferBuffers<T>,
-) -> Result<usize>
-where
-    T: Copy,
-{
-    let mut moved = 0usize;
-    for (i, pair) in sched.pairs().iter().enumerate() {
-        if k >= rounds[i] {
-            continue;
-        }
-        let data = recv(pair.peer)?;
-        let bytes = (data.len() * size_of::<T>()) as u64;
-        record_transfer_acquired(bytes);
-        let lo = k * chunk;
-        sched.plan(i).unpack_range_from(local, &data, lo, lo + data.len());
-        record_transfer_released(bytes);
-        moved += data.len();
-        pool.recycle(data);
-    }
-    Ok(moved)
-}
-
-fn chunked_send<T>(
-    route: &RedistRoute,
-    sched: &RegionSchedule,
-    ic: &InterComm,
-    local: &LocalArray<T>,
-    tag: i32,
-    pool: &mut TransferBuffers<T>,
-) -> Result<usize>
-where
-    T: Copy + Send + MsgSize + 'static,
-{
-    assert_eq!(sched.role(), Role::Sender, "chunked send needs a sender schedule");
-    let chunk = route.chunk_elems().max(1);
-    let rounds = pair_rounds(sched, chunk);
-    let max_rounds = rounds.iter().copied().max().unwrap_or(0);
-    let mut moved = 0;
-    for k in 0..max_rounds {
-        let mut step = mxn_trace::span(EventId::RouteStep, [route.kind.code(), k as u64, 0, 0]);
-        let (m, posted) =
-            post_round(sched, &rounds, chunk, k, |peer, buf| ic.send(peer, tag, buf), local, pool)?;
-        moved += m;
-        // Fence: round k+1 is not posted to a pair until its receiver has
-        // drained round k — this is what bounds the receiver's mailbox to
-        // one round of chunks.
-        for (i, pair) in sched.pairs().iter().enumerate() {
-            if k + 1 < rounds[i] {
-                let _ack: u8 = ic.recv(pair.peer, tag | ROUTE_ACK_BIT)?;
-            }
-        }
-        step.set_end([route.kind.code(), k as u64, posted, 0]);
-    }
-    Ok(moved)
-}
-
-fn chunked_recv<T>(
-    route: &RedistRoute,
-    sched: &RegionSchedule,
-    ic: &InterComm,
-    local: &mut LocalArray<T>,
-    tag: i32,
-    pool: &mut TransferBuffers<T>,
-) -> Result<usize>
-where
-    T: Copy + Send + MsgSize + 'static,
-{
-    assert_eq!(sched.role(), Role::Receiver, "chunked recv needs a receiver schedule");
-    let chunk = route.chunk_elems().max(1);
-    let rounds = pair_rounds(sched, chunk);
-    let max_rounds = rounds.iter().copied().max().unwrap_or(0);
-    let mut moved = 0;
-    for k in 0..max_rounds {
-        let mut step = mxn_trace::span(EventId::RouteStep, [route.kind.code(), k as u64, 0, 0]);
-        let m = drain_round(sched, &rounds, chunk, k, |peer| ic.recv(peer, tag), local, pool)?;
-        moved += m;
-        // Ack only after the *whole* round is unpacked, and only to pairs
-        // that still have data coming.
-        for (i, pair) in sched.pairs().iter().enumerate() {
-            if k + 1 < rounds[i] {
-                ic.send(pair.peer, tag | ROUTE_ACK_BIT, 1u8)?;
-            }
-        }
-        step.set_end([route.kind.code(), k as u64, m as u64 * size_of::<T>() as u64, 0]);
-    }
-    Ok(moved)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn chunked_within<T>(
-    route: &RedistRoute,
-    send: &RegionSchedule,
-    recv: &RegionSchedule,
-    comm: &Comm,
-    src_local: &LocalArray<T>,
-    dst_local: &mut LocalArray<T>,
-    tag: i32,
-    pool: &mut TransferBuffers<T>,
-) -> Result<usize>
-where
-    T: Copy + Send + MsgSize + 'static,
-{
-    assert_eq!(send.role(), Role::Sender);
-    assert_eq!(recv.role(), Role::Receiver);
-    let chunk = route.chunk_elems().max(1);
-    let srounds = pair_rounds(send, chunk);
-    let rrounds = pair_rounds(recv, chunk);
-    let max_rounds = srounds.iter().chain(rrounds.iter()).copied().max().unwrap_or(0);
-    let mut moved = 0;
-    // Per round, every rank: posts its sends, drains its receives, posts
-    // its acks, then waits for acks. All sends precede every blocking
-    // receive on every rank, so no round can deadlock.
-    for k in 0..max_rounds {
-        let mut step = mxn_trace::span(EventId::RouteStep, [route.kind.code(), k as u64, 0, 0]);
-        let (_, posted) = post_round(
-            send,
-            &srounds,
-            chunk,
-            k,
-            |peer, buf| comm.send(peer, tag, buf),
-            src_local,
-            pool,
-        )?;
-        moved +=
-            drain_round(recv, &rrounds, chunk, k, |peer| comm.recv(peer, tag), dst_local, pool)?;
-        for (i, pair) in recv.pairs().iter().enumerate() {
-            if k + 1 < rrounds[i] {
-                comm.send(pair.peer, tag | ROUTE_ACK_BIT, 1u8)?;
-            }
-        }
-        for (i, pair) in send.pairs().iter().enumerate() {
-            if k + 1 < srounds[i] {
-                let _ack: u8 = comm.recv(pair.peer, tag | ROUTE_ACK_BIT)?;
-            }
-        }
-        step.set_end([route.kind.code(), k as u64, posted, 0]);
-    }
-    Ok(moved)
-}
-
-fn allgather_within<T>(
-    recv: &RegionSchedule,
-    comm: &Comm,
-    src: &Dad,
-    src_local: &LocalArray<T>,
-    dst_local: &mut LocalArray<T>,
-    pool: &mut TransferBuffers<T>,
-) -> Result<usize>
-where
-    T: Copy + Send + Sync + MsgSize + 'static,
-{
-    assert_eq!(recv.role(), Role::Receiver);
-    assert_eq!(
-        comm.size(),
-        src.nranks(),
-        "allgather-slice needs the communicator to span the source decomposition"
-    );
-    let kind = RouteKind::AllgatherSlice.code();
-    let mut gather = mxn_trace::span(EventId::RouteStep, [kind, 0, 0, 0]);
-    let mut shards: Vec<Vec<T>> = comm.allgather(src_local.to_flat())?;
-    let total_bytes: u64 = shards.iter().map(|s| (s.len() * size_of::<T>()) as u64).sum();
-    record_transfer_acquired(total_bytes);
-    gather.set_end([kind, 0, total_bytes, 0]);
-
-    let mut slice = mxn_trace::span(EventId::RouteStep, [kind, 1, 0, 0]);
-    let mut moved = 0;
-    for (i, pair) in recv.pairs().iter().enumerate() {
-        let peer = LocalArray::from_flat(src, pair.peer, std::mem::take(&mut shards[pair.peer]));
-        let cut = CopyPlan::compile(&src.patches(pair.peer), &pair.regions);
-        let mut buf = pool.lease(cut.total());
-        cut.pack_into(&peer, &mut buf);
-        recv.plan(i).unpack_from(dst_local, &buf);
-        moved += buf.len();
-        pool.recycle(buf);
-    }
-    record_transfer_released(total_bytes);
-    slice.set_end([kind, 1, moved as u64 * size_of::<T>() as u64, 0]);
-    Ok(moved)
 }
 
 #[cfg(test)]

@@ -1,23 +1,18 @@
 //! Property test: every collective route lowering moves exactly the same
-//! elements as the direct [`CopyPlan`]-schedule path — across the same
-//! five descriptor families as `pruned_equivalence.rs`, including
+//! elements as the unbudgeted (direct) [`Redistribution`] — across the
+//! same five descriptor families as `pruned_equivalence.rs`, including
 //! non-power-of-two rank counts and source/destination worlds of
 //! different sizes.
 //!
-//! Route kinds are forced explicitly (not left to the planner) so the
-//! chunked and allgather executors get coverage regardless of what a cost
-//! model would pick, and the chunk size is drawn down to a single element
-//! to maximize round/fence traffic.
-
-use std::time::Duration;
+//! Lowerings are reached through budgets: a starved budget degrades to
+//! single-element chunks (maximal round/fence traffic), a budget sized
+//! for a drawn chunk length cuts chunks of about that length, and an
+//! unlimited budget lets the model pick (allgather+slice for small
+//! fields on wide communicators).
 
 use mxn_dad::{AxisDist, Dad, ExplicitDist, Extents, LocalArray, Region, Template};
 use mxn_runtime::{Universe, World};
-use mxn_schedule::{
-    execute_recv_routed, execute_send_routed, execute_within_routed, recv_redistributed_budgeted,
-    redistribute_within, redistribute_within_budgeted, send_redistributed_budgeted, RedistRoute,
-    RegionSchedule, RouteKind, RouteStep, StepOp, TransferBuffers,
-};
+use mxn_schedule::{RedistProfile, Redistribution, RouteKind, Side};
 use proptest::prelude::*;
 
 /// splitmix64, so descriptor construction is deterministic per drawn seed.
@@ -94,22 +89,18 @@ fn make_dad(rows: usize, cols: usize, family: u8, seed: u64) -> Dad {
     }
 }
 
-/// A hand-forced route of the given kind (the executors only consult the
-/// kind and, for chunked, the chunk size — cost fields are irrelevant).
-fn forced(kind: RouteKind, chunk_elems: usize) -> RedistRoute {
-    let op = match kind {
-        RouteKind::Chunked => StepOp::ChunkRounds { rounds: 0, chunk_elems },
-        RouteKind::Direct => StepOp::DirectExchange,
-        RouteKind::AllgatherSlice => StepOp::Allgather,
+/// A budget under which the planner cuts chunks of about `chunk_elems`
+/// `i64`s per pair (or keeps the direct route when that already fits):
+/// the resident shards plus one round of such chunks and two buffers.
+fn chunk_budget(src: &Dad, dst: &Dad, chunk_elems: usize, intra: bool) -> u64 {
+    let p = RedistProfile::compute(src, dst, 8);
+    let resident = if intra {
+        p.max_src_shard_bytes + p.max_dst_shard_bytes
+    } else {
+        p.max_src_shard_bytes.max(p.max_dst_shard_bytes)
     };
-    RedistRoute {
-        kind,
-        steps: vec![RouteStep { op, bytes: 0, peak_bytes: 0 }],
-        peak_bytes: 0,
-        est_time: Duration::ZERO,
-        budget_bytes: u64::MAX,
-        fits: true,
-    }
+    let pairs = p.max_send_msgs.max(p.max_recv_msgs).max(1);
+    resident + (pairs + 2) * chunk_elems as u64 * 8
 }
 
 fn value(idx: &[usize], cols: usize) -> i64 {
@@ -119,9 +110,9 @@ fn value(idx: &[usize], cols: usize) -> i64 {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Cross-program (different world sizes): the chunked route and the
-    /// planner-chosen budgeted route deliver byte-identical arrays to the
-    /// direct oracle.
+    /// Cross-program (different world sizes): the chunk-sized and the
+    /// starved budgeted routes deliver byte-identical arrays to the
+    /// unbudgeted oracle.
     #[test]
     fn routed_inter_transfer_matches_direct_oracle(
         rows in 4..16usize,
@@ -134,44 +125,36 @@ proptest! {
         let src = make_dad(rows, cols, src_family, seed);
         let dst = make_dad(rows, cols, dst_family, seed ^ 0x5851_f42d_4c95_7f2d);
         let (m, n) = (src.nranks(), dst.nranks());
+        // Oracle, chunk-sized, then starved (tag separates the three).
+        let budgets = [None, Some(chunk_budget(&src, &dst, chunk_elems, false)), Some(1)];
         Universe::run(&[m, n], move |_, ctx| {
+            let rank = ctx.comm.rank();
             if ctx.program == 0 {
                 let ic = ctx.intercomm(1);
-                let rank = ctx.comm.rank();
                 let local = LocalArray::from_fn(&src, rank, |idx| value(idx, cols));
-                let sched = RegionSchedule::for_sender(&src, &dst, rank);
-                let mut pool = TransferBuffers::new();
-                // Oracle, forced chunked, then planner-driven (starved
-                // budget → best-effort chunked; tag separates the three).
-                sched.execute_send(ic, &local, 0).unwrap();
-                execute_send_routed(
-                    &forced(RouteKind::Chunked, chunk_elems), &sched, ic, &local, 1, &mut pool,
-                ).unwrap();
-                send_redistributed_budgeted(ic, &src, &dst, &local, 2, 1).unwrap();
+                for (tag, budget) in budgets.into_iter().enumerate() {
+                    let mut plan = Redistribution::new(&src, &dst, rank, Side::Send, budget);
+                    plan.send(ic, &local, tag as i32).unwrap();
+                }
             } else {
                 let ic = ctx.intercomm(0);
-                let rank = ctx.comm.rank();
-                let sched = RegionSchedule::for_receiver(&src, &dst, rank);
                 let mut want: LocalArray<i64> = LocalArray::allocate(&dst, rank);
-                sched.execute_recv(ic, &mut want, 0).unwrap();
-
-                let mut got: LocalArray<i64> = LocalArray::allocate(&dst, rank);
-                let mut pool = TransferBuffers::new();
-                let moved = execute_recv_routed(
-                    &forced(RouteKind::Chunked, chunk_elems), &sched, ic, &mut got, 1, &mut pool,
-                ).unwrap();
-                assert_eq!(moved, want.len(), "chunked route moves every element");
-                assert_eq!(got, want, "chunked != direct for {src:?} -> {dst:?}");
-
-                let budgeted: LocalArray<i64> =
-                    recv_redistributed_budgeted(ic, &src, &dst, 2, 1).unwrap();
-                assert_eq!(budgeted, want, "budgeted != direct for {src:?} -> {dst:?}");
+                Redistribution::new(&src, &dst, rank, Side::Recv, None)
+                    .recv(ic, &mut want, 0)
+                    .unwrap();
+                for (tag, budget) in budgets.into_iter().enumerate().skip(1) {
+                    let mut plan = Redistribution::new(&src, &dst, rank, Side::Recv, budget);
+                    let mut got: LocalArray<i64> = LocalArray::allocate(&dst, rank);
+                    let moved = plan.recv(ic, &mut got, tag as i32).unwrap();
+                    assert_eq!(moved, want.len(), "budget {budget:?} moves every element");
+                    assert_eq!(got, want, "budget {budget:?} != direct for {src:?} -> {dst:?}");
+                }
             }
         });
     }
 
-    /// Intra-communicator: all three lowerings — direct, single-element
-    /// chunked, allgather+slice — produce the same array.
+    /// Intra-communicator: every budget — starved, chunk-sized and
+    /// unlimited — produces the unbudgeted plan's array.
     #[test]
     fn routed_within_matches_direct_oracle(
         rows in 4..16usize,
@@ -197,31 +180,21 @@ proptest! {
             )
             .unwrap(),
         );
+        let budgets = [Some(1), Some(chunk_budget(&src, &dst, chunk_elems, true)), Some(u64::MAX)];
         World::run(p, move |proc| {
             let comm = proc.world();
             let rank = comm.rank();
             let src_local = LocalArray::from_fn(&src, rank, |idx| value(idx, cols));
-            let want = redistribute_within(comm, &src, &dst, &src_local, 0).unwrap();
-
-            let send = RegionSchedule::for_sender(&src, &dst, rank);
-            let recv = RegionSchedule::for_receiver(&src, &dst, rank);
-            for (tag, kind) in
-                [(1, RouteKind::Chunked), (2, RouteKind::AllgatherSlice), (3, RouteKind::Direct)]
-            {
+            let mut want: LocalArray<i64> = LocalArray::allocate(&dst, rank);
+            Redistribution::new(&src, &dst, rank, Side::Within, None)
+                .within(comm, &src_local, &mut want, 0)
+                .unwrap();
+            for (tag, budget) in budgets.into_iter().enumerate() {
+                let mut plan = Redistribution::new(&src, &dst, rank, Side::Within, budget);
                 let mut got: LocalArray<i64> = LocalArray::allocate(&dst, rank);
-                let mut pool = TransferBuffers::new();
-                execute_within_routed(
-                    &forced(kind, chunk_elems), &send, &recv, comm, &src,
-                    &src_local, &mut got, tag, &mut pool,
-                ).unwrap();
-                assert_eq!(got, want, "{kind:?} != direct for {src:?} -> {dst:?}");
-            }
-
-            // Planner-driven under a starved and an unlimited budget.
-            for (tag, budget) in [(4, 1u64), (5, u64::MAX)] {
-                let got =
-                    redistribute_within_budgeted(comm, &src, &dst, &src_local, tag, budget).unwrap();
-                assert_eq!(got, want, "budget {budget} != direct");
+                plan.within(comm, &src_local, &mut got, tag as i32 + 1).unwrap();
+                let kind = plan.route().map(|r| r.kind);
+                assert_eq!(got, want, "{kind:?} (budget {budget:?}) != direct for {src:?} -> {dst:?}");
             }
         });
     }
@@ -237,36 +210,17 @@ fn asymmetric_world_sizes_chunk_correctly() {
         let src = Dad::block(Extents::new([rows, cols]), &[m, 1]).unwrap();
         let dst = Dad::block(Extents::new([rows, cols]), &[1, n.min(cols)]).unwrap();
         Universe::run(&[m, dst.nranks()], move |_, ctx| {
+            let rank = ctx.comm.rank();
             if ctx.program == 0 {
-                let ic = ctx.intercomm(1);
-                let rank = ctx.comm.rank();
+                let mut plan = Redistribution::new(&src, &dst, rank, Side::Send, Some(1));
+                let route = plan.route().unwrap();
+                assert_eq!((route.kind, route.chunk_elems()), (RouteKind::Chunked, 1));
                 let local = LocalArray::from_fn(&src, rank, |idx| value(idx, cols));
-                let sched = RegionSchedule::for_sender(&src, &dst, rank);
-                let mut pool = TransferBuffers::new();
-                execute_send_routed(
-                    &forced(RouteKind::Chunked, 1),
-                    &sched,
-                    ic,
-                    &local,
-                    0,
-                    &mut pool,
-                )
-                .unwrap();
+                plan.send(ctx.intercomm(1), &local, 0).unwrap();
             } else {
-                let ic = ctx.intercomm(0);
-                let rank = ctx.comm.rank();
-                let sched = RegionSchedule::for_receiver(&src, &dst, rank);
+                let mut plan = Redistribution::new(&src, &dst, rank, Side::Recv, Some(1));
                 let mut got: LocalArray<i64> = LocalArray::allocate(&dst, rank);
-                let mut pool = TransferBuffers::new();
-                execute_recv_routed(
-                    &forced(RouteKind::Chunked, 1),
-                    &sched,
-                    ic,
-                    &mut got,
-                    0,
-                    &mut pool,
-                )
-                .unwrap();
+                plan.recv(ctx.intercomm(0), &mut got, 0).unwrap();
                 for (idx, &v) in got.iter() {
                     assert_eq!(v, value(&idx, cols), "{m}x{n} at {idx:?}");
                 }
@@ -289,23 +243,15 @@ fn allgather_slice_handles_multi_patch_sources() {
         let comm = proc.world();
         let rank = comm.rank();
         let src_local = LocalArray::from_fn(&src, rank, |idx| value(idx, 6));
-        let want = redistribute_within(comm, &src, &dst, &src_local, 0).unwrap();
-        let send = RegionSchedule::for_sender(&src, &dst, rank);
-        let recv = RegionSchedule::for_receiver(&src, &dst, rank);
+        let mut want: LocalArray<i64> = LocalArray::allocate(&dst, rank);
+        Redistribution::new(&src, &dst, rank, Side::Within, None)
+            .within(comm, &src_local, &mut want, 0)
+            .unwrap();
+        // Every rank meets every peer: one allgather beats six messages.
+        let mut plan = Redistribution::new(&src, &dst, rank, Side::Within, Some(u64::MAX));
+        assert_eq!(plan.route().unwrap().kind, RouteKind::AllgatherSlice);
         let mut got: LocalArray<i64> = LocalArray::allocate(&dst, rank);
-        let mut pool = TransferBuffers::new();
-        execute_within_routed(
-            &forced(RouteKind::AllgatherSlice, 1),
-            &send,
-            &recv,
-            comm,
-            &src,
-            &src_local,
-            &mut got,
-            1,
-            &mut pool,
-        )
-        .unwrap();
+        plan.within(comm, &src_local, &mut got, 1).unwrap();
         assert_eq!(got, want);
     });
 }

@@ -23,7 +23,7 @@
 //!    (for the wire front that is the connection's own reader thread);
 //!    the shard executors never block on a slow client.
 //! 3. **Every admitted request is answered exactly once** — with a result,
-//!    a typed [`MethodNotFound`] NACK, or a typed `Overloaded` NACK
+//!    a typed [`mxn_framework::MethodNotFound`] NACK, or a typed `Overloaded` NACK
 //!    carrying the shard queue depth observed at shed time.
 //!
 //! Reply delivery reuses the runtime's [`Mailbox`]: each dispatch run

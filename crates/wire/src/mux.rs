@@ -473,11 +473,11 @@ impl MuxClient {
         }
     }
 
-    /// [`MuxClient::call`] under a [`CallPolicy`]: when the server sheds
-    /// the request with an `Overloaded` NACK, the client re-sends after
-    /// the policy's backoff — base doubling per attempt, stretched by
-    /// [`CallPolicy::load_factor`] of the queue depth the NACK reported,
-    /// jittered when the policy is seeded. Any other status returns
+    /// [`MuxClient::call`] under a [`mxn_framework::CallPolicy`]: when the
+    /// server sheds the request with an `Overloaded` NACK, the client
+    /// re-sends after the policy's backoff — base doubling per attempt,
+    /// stretched by [`mxn_framework::CallPolicy::load_factor`] of the
+    /// queue depth the NACK reported, jittered when the policy is seeded. Any other status returns
     /// immediately; when retries are exhausted the final NACK is returned
     /// so the caller can see the depth it lost to. This gives a wire
     /// client the same shed-and-retry loop PRMI's `call_with_policy` runs

@@ -1249,7 +1249,7 @@ impl WireNode {
     /// silent past `timeout` are treated as dead.
     pub fn agree_survivors(&self, epoch: u32, timeout: Duration) -> Result<Vec<usize>> {
         let size = self.shared.cur_size();
-        assert!(size <= 64, "bitmap agreement supports up to 64 ranks");
+        RuntimeError::check_mask_width(size)?;
         let me = self.shared.cfg.rank;
         let mut view: u64 = 0;
         for r in self.shared.liveness.dead_ranks() {

@@ -9,7 +9,7 @@
 
 use mxn::dad::{Dad, Extents, LocalArray};
 use mxn::runtime::Universe;
-use mxn::schedule::{recv_redistributed, send_redistributed, RegionSchedule};
+use mxn::schedule::{Redistribution, Side};
 
 fn main() {
     let extents = Extents::new([6, 6, 6]);
@@ -25,20 +25,24 @@ fn main() {
             // The "M side": owns the field in 3×3×3-element blocks.
             let rank = ctx.comm.rank();
             let mine = LocalArray::from_fn(&src, rank, value);
-            // How many receivers does this sender talk to?
-            let sched = RegionSchedule::for_sender(&src, &dst, rank);
+            // This rank's plan: its schedule, route and buffer pool.
+            let mut plan = Redistribution::new(&src, &dst, rank, Side::Send, None);
             if rank == 0 {
+                // How many receivers does this sender talk to?
                 println!(
                     "sender 0 exports {} elements to {} of the 27 receivers",
-                    sched.total_elements(),
-                    sched.num_messages()
+                    plan.schedule().total_elements(),
+                    plan.schedule().num_messages()
                 );
             }
-            send_redistributed(ctx.intercomm(1), &src, &dst, &mine, 0).unwrap();
+            plan.send(ctx.intercomm(1), &mine, 0).unwrap();
         } else {
             // The "N side": receives its 2×2×2-element block.
-            let mine: LocalArray<f64> =
-                recv_redistributed(ctx.intercomm(0), &src, &dst, 0).unwrap();
+            let rank = ctx.comm.rank();
+            let mut mine: LocalArray<f64> = LocalArray::allocate(&dst, rank);
+            Redistribution::new(&src, &dst, rank, Side::Recv, None)
+                .recv(ctx.intercomm(0), &mut mine, 0)
+                .unwrap();
             for (idx, &v) in mine.iter() {
                 assert_eq!(v, value(&idx), "wrong value at {idx:?}");
             }

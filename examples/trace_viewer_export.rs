@@ -12,7 +12,7 @@ use std::fs;
 
 use mxn::dad::{AxisDist, Dad, Extents, LocalArray, Template};
 use mxn::runtime::Universe;
-use mxn::schedule::{recv_redistributed, send_redistributed};
+use mxn::schedule::{Redistribution, Side};
 
 fn main() {
     let out_path =
@@ -26,10 +26,14 @@ fn main() {
         );
         if ctx.program == 0 {
             let mine = LocalArray::from_fn(&src, ctx.comm.rank(), |i| (i[0] * 8 + i[1]) as f64);
-            send_redistributed(ctx.intercomm(1), &src, &dst, &mine, 7).unwrap();
+            Redistribution::new(&src, &dst, ctx.comm.rank(), Side::Send, None)
+                .send(ctx.intercomm(1), &mine, 7)
+                .unwrap();
         } else {
-            let mine: LocalArray<f64> =
-                recv_redistributed(ctx.intercomm(0), &src, &dst, 7).unwrap();
+            let mut mine: LocalArray<f64> = LocalArray::allocate(&dst, ctx.comm.rank());
+            Redistribution::new(&src, &dst, ctx.comm.rank(), Side::Recv, None)
+                .recv(ctx.intercomm(0), &mut mine, 7)
+                .unwrap();
             for (idx, &v) in mine.iter() {
                 assert_eq!(v, (idx[0] * 8 + idx[1]) as f64);
             }

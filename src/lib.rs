@@ -25,23 +25,28 @@
 //! ## Quickstart
 //!
 //! Redistribute a block-row array on 2 ranks into a block-column array on
-//! 3 ranks (the "M×N problem" in 20 lines):
+//! 3 ranks (the "M×N problem" in 20 lines). Each rank builds its
+//! [`schedule::Redistribution`] plan once and may reuse it for every
+//! transfer between the same templates:
 //!
 //! ```
 //! use mxn::dad::{Dad, Extents, LocalArray};
 //! use mxn::runtime::Universe;
-//! use mxn::schedule::{recv_redistributed, send_redistributed};
+//! use mxn::schedule::{Redistribution, Side};
 //!
 //! Universe::run(&[2, 3], |_, ctx| {
 //!     let e = Extents::new([6, 6]);
 //!     let src = Dad::block(e.clone(), &[2, 1]).unwrap(); // 2 row blocks
 //!     let dst = Dad::block(e, &[1, 3]).unwrap(); // 3 col blocks
+//!     let rank = ctx.comm.rank();
 //!     if ctx.program == 0 {
-//!         let mine = LocalArray::from_fn(&src, ctx.comm.rank(), |i| (i[0] * 6 + i[1]) as f64);
-//!         send_redistributed(ctx.intercomm(1), &src, &dst, &mine, 0).unwrap();
+//!         let mine = LocalArray::from_fn(&src, rank, |i| (i[0] * 6 + i[1]) as f64);
+//!         let mut plan = Redistribution::new(&src, &dst, rank, Side::Send, None);
+//!         plan.send(ctx.intercomm(1), &mine, 0).unwrap();
 //!     } else {
-//!         let mine: LocalArray<f64> =
-//!             recv_redistributed(ctx.intercomm(0), &src, &dst, 0).unwrap();
+//!         let mut mine: LocalArray<f64> = LocalArray::allocate(&dst, rank);
+//!         let mut plan = Redistribution::new(&src, &dst, rank, Side::Recv, None);
+//!         plan.recv(ctx.intercomm(0), &mut mine, 0).unwrap();
 //!         for (idx, &v) in mine.iter() {
 //!             assert_eq!(v, (idx[0] * 6 + idx[1]) as f64);
 //!         }

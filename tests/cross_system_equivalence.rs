@@ -11,7 +11,7 @@ use mxn::dca::{gather_from_remote, scatter_to_remote, spec_from_dads};
 use mxn::linearize::{request_and_fill, serve_requests, ArrayOrder};
 use mxn::mct::{AttrVect, GlobalSegMap, ModelRegistry, Rearranger, Router};
 use mxn::runtime::{Universe, World};
-use mxn::schedule::{LinearSchedule, RegionSchedule};
+use mxn::schedule::{LinearSchedule, Redistribution, RegionSchedule, Side};
 
 const ROWS: usize = 12;
 const COLS: usize = 8;
@@ -37,13 +37,13 @@ fn region_schedule_path() {
     Universe::run(&[3, 2], |_, ctx| {
         let (src, dst) = dads(3, 2);
         if ctx.program == 0 {
-            let sched = RegionSchedule::for_sender(&src, &dst, ctx.comm.rank());
+            let mut plan = Redistribution::new(&src, &dst, ctx.comm.rank(), Side::Send, None);
             let local = LocalArray::from_fn(&src, ctx.comm.rank(), value);
-            sched.execute_send(ctx.intercomm(1), &local, 0).unwrap();
+            plan.send(ctx.intercomm(1), &local, 0).unwrap();
         } else {
-            let sched = RegionSchedule::for_receiver(&src, &dst, ctx.comm.rank());
+            let mut plan = Redistribution::new(&src, &dst, ctx.comm.rank(), Side::Recv, None);
             let mut local = LocalArray::allocate(&dst, ctx.comm.rank());
-            sched.execute_recv(ctx.intercomm(0), &mut local, 0).unwrap();
+            plan.recv(ctx.intercomm(0), &mut local, 0).unwrap();
             check(&local);
         }
     });
@@ -152,7 +152,7 @@ fn mct_router_path() {
     });
 }
 
-/// Intra-program: schedule-based `redistribute_within` and the MCT
+/// Intra-program: a schedule-based within plan and the MCT
 /// rearranger agree on a transpose-style move.
 #[test]
 fn rearranger_matches_schedule_redistribution() {
@@ -161,8 +161,10 @@ fn rearranger_matches_schedule_redistribution() {
         let me = comm.rank();
         let (src, dst) = dads(4, 4);
         let src_local = LocalArray::from_fn(&src, me, value);
-        let via_schedule =
-            mxn::schedule::redistribute_within(comm, &src, &dst, &src_local, 3).unwrap();
+        let mut via_schedule = LocalArray::allocate(&dst, me);
+        Redistribution::new(&src, &dst, me, Side::Within, None)
+            .within(comm, &src_local, &mut via_schedule, 3)
+            .unwrap();
         check(&via_schedule);
 
         // The same move through MCT's rearranger.

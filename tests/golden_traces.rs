@@ -25,7 +25,7 @@ use mxn::dca::{alltoallv_within, AlltoallvSpec};
 use mxn::framework::{AnyPayload, Dispatch, RemoteService};
 use mxn::prmi::{collective_serve, CollectiveEndpoint};
 use mxn::runtime::{ChannelPolicy, FaultConfig, InterComm, RunTrace, Universe, World};
-use mxn::schedule::{recv_redistributed, send_redistributed};
+use mxn::schedule::{Redistribution, Side};
 
 const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/trace_digests.txt");
 
@@ -39,10 +39,14 @@ fn redistribute_block_to_cyclic() -> RunTrace {
         );
         if ctx.program == 0 {
             let mine = LocalArray::from_fn(&src, ctx.comm.rank(), |i| (i[0] * 8 + i[1]) as f64);
-            send_redistributed(ctx.intercomm(1), &src, &dst, &mine, 7).unwrap();
+            Redistribution::new(&src, &dst, ctx.comm.rank(), Side::Send, None)
+                .send(ctx.intercomm(1), &mine, 7)
+                .unwrap();
         } else {
-            let mine: LocalArray<f64> =
-                recv_redistributed(ctx.intercomm(0), &src, &dst, 7).unwrap();
+            let mut mine: LocalArray<f64> = LocalArray::allocate(&dst, ctx.comm.rank());
+            Redistribution::new(&src, &dst, ctx.comm.rank(), Side::Recv, None)
+                .recv(ctx.intercomm(0), &mut mine, 7)
+                .unwrap();
             for (idx, &v) in mine.iter() {
                 assert_eq!(v, (idx[0] * 8 + idx[1]) as f64);
             }
@@ -62,10 +66,14 @@ fn redistribute_cyclic_to_block() -> RunTrace {
         let dst = Dad::block(e, &[2, 1]).unwrap();
         if ctx.program == 0 {
             let mine = LocalArray::from_fn(&src, ctx.comm.rank(), |i| (i[0] * 8 + i[1]) as f64);
-            send_redistributed(ctx.intercomm(1), &src, &dst, &mine, 9).unwrap();
+            Redistribution::new(&src, &dst, ctx.comm.rank(), Side::Send, None)
+                .send(ctx.intercomm(1), &mine, 9)
+                .unwrap();
         } else {
-            let mine: LocalArray<f64> =
-                recv_redistributed(ctx.intercomm(0), &src, &dst, 9).unwrap();
+            let mut mine: LocalArray<f64> = LocalArray::allocate(&dst, ctx.comm.rank());
+            Redistribution::new(&src, &dst, ctx.comm.rank(), Side::Recv, None)
+                .recv(ctx.intercomm(0), &mut mine, 9)
+                .unwrap();
             for (idx, &v) in mine.iter() {
                 assert_eq!(v, (idx[0] * 8 + idx[1]) as f64);
             }
