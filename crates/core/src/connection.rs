@@ -505,11 +505,11 @@ impl MxnConnection {
         registry: &FieldRegistry,
         budget: Option<u64>,
     ) -> Result<TransferOutcome> {
-        if let (Some(budget_bytes), true) = (budget, self.transactional) {
-            return Err(MxnError::BudgetedTransaction { budget_bytes });
-        }
         if self.closed {
             return Ok(TransferOutcome::Closed);
+        }
+        if let (Some(budget_bytes), true) = (budget, self.transactional) {
+            return Err(MxnError::BudgetedTransaction { budget_bytes });
         }
         self.calls += 1;
         let due = match self.kind {
@@ -519,10 +519,7 @@ impl MxnConnection {
         if !due {
             return Ok(TransferOutcome::Skipped);
         }
-        if self.plan.budget() != budget {
-            self.plan =
-                build_plan(self.direction, &self.my_dad, &self.peer_dad, self.plan.rank(), budget);
-        }
+        self.replan(budget);
         if self.transactional {
             return self.transactional_transfer(ic, registry);
         }
@@ -547,6 +544,14 @@ impl MxnConnection {
             self.closed = true;
         }
         Ok(TransferOutcome::Transferred { elements })
+    }
+
+    /// Rebuilds the plan for `budget` unless it was planned for it already.
+    fn replan(&mut self, budget: Option<u64>) {
+        if self.plan.budget() != budget {
+            self.plan =
+                build_plan(self.direction, &self.my_dad, &self.peer_dad, self.plan.rank(), budget);
+        }
     }
 
     /// One due transfer as a transaction. The import side *stages* each
@@ -862,7 +867,9 @@ impl MxnConnection {
     ///
     /// This is the "variety of synchronization options" of §4.1 beyond
     /// tight periodic coupling: a visualization-style consumer polls at its
-    /// own rate while the producer free-runs.
+    /// own rate while the producer free-runs. Polls read the unbudgeted
+    /// wire format of a producer calling [`MxnConnection::data_ready`],
+    /// whatever budget an earlier transfer planned for.
     ///
     /// # Panics
     /// If called on an export-side or closed connection.
@@ -870,6 +877,9 @@ impl MxnConnection {
         assert_eq!(self.direction, Direction::Import, "poll_latest is import-side");
         assert!(!self.closed, "connection is closed");
         let entry = registry.get(&self.field)?;
+        // Polled transfers are plain `data_ready` ones: one whole message
+        // per partner, so the unbudgeted plan.
+        self.replan(None);
         let mut rounds = 0;
         loop {
             // A transfer is consumable only when *every* partner's message
@@ -1628,7 +1638,8 @@ mod budgeted_tests {
 
     /// A budgeted transfer on a transactional connection is refused on
     /// both sides before anything moves: no call is counted and the
-    /// import field keeps its data.
+    /// import field keeps its data. Once closed, the connection reports
+    /// `Closed` on either path.
     #[test]
     fn budgeted_transfer_refuses_transactional_connections() {
         mxn_runtime::Universe::run(&[2, 2], |_, ctx| {
@@ -1636,7 +1647,7 @@ mod budgeted_tests {
             let mut reg = FieldRegistry::new(rank);
             let src = Dad::block(Extents::new([24, 24]), &[2, 1]).unwrap();
             let dst = Dad::block(Extents::new([24, 24]), &[1, 2]).unwrap();
-            let kind = ConnectionKind::Persistent { period: 1 };
+            let kind = ConnectionKind::OneShot;
             let (ic, data, mut conn) = if ctx.program == 0 {
                 let ic = ctx.intercomm(1);
                 let data: FieldData =
@@ -1661,6 +1672,51 @@ mod budgeted_tests {
             if ctx.program == 1 {
                 for (idx, &v) in data.read().iter() {
                     assert_eq!(v, coded(&idx, 1.0));
+                }
+            }
+            let outcome = conn.data_ready_budgeted(ic, &reg, 2000).unwrap();
+            assert_eq!(outcome, TransferOutcome::Closed);
+        });
+    }
+
+    /// After a budgeted (chunked) transfer, an importer that switches to
+    /// `poll_latest` reads a producer's plain `data_ready` transfer whole
+    /// instead of running the chunked protocol over it.
+    #[test]
+    fn poll_latest_after_a_budgeted_transfer_reads_plain_transfers() {
+        const BUDGET: u64 = 2000;
+        mxn_runtime::Universe::run(&[2, 2], |_, ctx| {
+            let rank = ctx.comm.rank();
+            let mut reg = FieldRegistry::new(rank);
+            let src = Dad::block(Extents::new([24, 24]), &[2, 1]).unwrap();
+            let dst = Dad::block(Extents::new([24, 24]), &[1, 2]).unwrap();
+            let kind = ConnectionKind::Persistent { period: 1 };
+            if ctx.program == 0 {
+                let ic = ctx.intercomm(1);
+                let data: FieldData =
+                    Arc::new(RwLock::new(LocalArray::from_fn(&src, rank, |idx| coded(idx, 1.0))));
+                reg.register("f", src, AccessMode::Read, data.clone()).unwrap();
+                let mut conn =
+                    MxnConnection::initiate(ic, &reg, 0, "f", "f", Direction::Export, kind)
+                        .unwrap();
+                conn.data_ready_budgeted(ic, &reg, BUDGET).unwrap();
+                refill(&data, 2.0);
+                conn.data_ready(ic, &reg).unwrap();
+                for peer in 0..2 {
+                    ic.send(peer, 0x7f, ()).unwrap();
+                }
+            } else {
+                let ic = ctx.intercomm(0);
+                let data = reg.register_allocated("f", dst, AccessMode::Write).unwrap();
+                let mut conn = MxnConnection::accept(ic, &reg, 0).unwrap();
+                conn.data_ready_budgeted(ic, &reg, BUDGET).unwrap();
+                assert!(conn.plan.route().unwrap().rounds() > 1, "the budget chunks");
+                for peer in 0..2 {
+                    ic.recv::<()>(peer, 0x7f).unwrap();
+                }
+                assert_eq!(conn.poll_latest(ic, &reg).unwrap(), 1);
+                for (idx, &v) in data.read().iter() {
+                    assert_eq!(v, coded(&idx, 2.0));
                 }
             }
         });

@@ -44,7 +44,6 @@ pub enum Side {
 /// One rank's reusable plan for redistributing arrays from `src` to `dst`.
 #[derive(Debug)]
 pub struct Redistribution<T> {
-    side: Side,
     /// Sender schedule ([`Side::Send`] and [`Side::Within`] plans).
     send: Option<RegionSchedule>,
     /// Receiver schedule ([`Side::Recv`] and [`Side::Within`] plans).
@@ -81,20 +80,29 @@ where
     /// # Panics
     /// If the descriptors do not share global extents.
     pub fn new(src: &Dad, dst: &Dad, rank: usize, side: Side, budget: Option<u64>) -> Self {
-        let route = budget.map(|b| {
-            RoutePlanner::default().plan_for(src, dst, size_of::<T>(), b, side == Side::Within)
-        });
+        let within = side == Side::Within;
+        let route =
+            budget.map(|b| RoutePlanner::default().plan_for(src, dst, size_of::<T>(), b, within));
         let gathers = route.as_ref().is_some_and(|r| r.kind == RouteKind::AllgatherSlice);
         let send = (side != Side::Recv).then(|| RegionSchedule::for_sender(src, dst, rank));
         let recv = (side != Side::Send).then(|| RegionSchedule::for_receiver(src, dst, rank));
-        // Received buffers are recycled only into a pool that leases them
-        // again; a receive-only plan never leases, so its pool keeps none.
-        let pool = match (side, &route) {
-            (Side::Recv, _) => TransferBuffers::with_max_free(0),
-            (_, Some(route)) => budget_pool(route),
-            (_, None) => TransferBuffers::new(),
+        // Only a within plan re-leases the buffers it has received; any
+        // other pool would only ever hand out fresh ones, so it keeps none.
+        let pool = if within {
+            route.as_ref().map_or_else(TransferBuffers::new, budget_pool)
+        } else {
+            TransferBuffers::with_max_free(0)
         };
-        Redistribution { side, send, recv, src: gathers.then(|| src.clone()), route, pool }
+        Redistribution { send, recv, src: gathers.then(|| src.clone()), route, pool }
+    }
+
+    /// The side this plan was built for, read off the schedules it holds.
+    fn side(&self) -> Side {
+        match (&self.send, &self.recv) {
+            (Some(_), None) => Side::Send,
+            (None, Some(_)) => Side::Recv,
+            _ => Side::Within,
+        }
     }
 
     /// Sends `local` (this rank's `src` shard) across `ic`. Returns the
@@ -104,7 +112,7 @@ where
     /// If the plan was not built for [`Side::Send`], or `local` does not
     /// have the layout of this rank's `src` shard.
     pub fn send(&mut self, ic: &InterComm, local: &LocalArray<T>, tag: i32) -> Result<usize> {
-        assert_eq!(self.side, Side::Send, "send needs a plan built for Side::Send");
+        assert_eq!(self.side(), Side::Send, "send needs a plan built for Side::Send");
         self.transfer(Link::Inter(ic), Some(local), None, tag)
     }
 
@@ -116,7 +124,7 @@ where
     /// If the plan was not built for [`Side::Recv`], or `local` does not
     /// have the layout of this rank's `dst` shard.
     pub fn recv(&mut self, ic: &InterComm, local: &mut LocalArray<T>, tag: i32) -> Result<usize> {
-        assert_eq!(self.side, Side::Recv, "recv needs a plan built for Side::Recv");
+        assert_eq!(self.side(), Side::Recv, "recv needs a plan built for Side::Recv");
         self.transfer(Link::Inter(ic), None, Some(local), tag)
     }
 
@@ -136,7 +144,7 @@ where
         dst_local: &mut LocalArray<T>,
         tag: i32,
     ) -> Result<usize> {
-        assert_eq!(self.side, Side::Within, "within needs a plan built for Side::Within");
+        assert_eq!(self.side(), Side::Within, "within needs a plan built for Side::Within");
         self.transfer(Link::Intra(comm), Some(src_local), Some(dst_local), tag)
     }
 
@@ -147,7 +155,7 @@ where
         dst_local: Option<&mut LocalArray<T>>,
         tag: i32,
     ) -> Result<usize> {
-        let Redistribution { send, recv, src, route, pool, .. } = self;
+        let Redistribution { send, recv, src, route, pool } = self;
         let out = send.as_ref().zip(src_local);
         let inc = recv.as_ref().zip(dst_local);
         let Some(route) = route else {
@@ -408,6 +416,10 @@ where
 }
 
 #[cfg(test)]
+#[path = "../tests/families/mod.rs"]
+mod families;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use mxn_dad::{AxisDist, Extents, Template};
@@ -528,6 +540,140 @@ mod tests {
             assert_eq!(leases, 6 * messages as u64);
             assert_eq!(fresh, after_first, "steady-state steps allocated fresh buffers");
         });
+    }
+
+    /// Every lowering forced on every drawn case, so each executor runs
+    /// whatever the cost model would pick: chunked (with the drawn chunk
+    /// length) across programs, and chunked, allgather+slice and direct
+    /// within one communicator, each against the unbudgeted plan, over the
+    /// five descriptor families of `tests/route_equivalence.rs`.
+    mod forced_routes {
+        use super::*;
+        use crate::route::{RouteStep, StepOp};
+        use proptest::prelude::*;
+        use std::time::Duration;
+
+        use crate::redistribution::families::{make_dad, pick};
+
+        /// `plan` with its route replaced by a hand-forced one of `kind`
+        /// (the lowerings read only the kind and, for chunked, the chunk
+        /// length; cost fields are irrelevant).
+        fn forced<T>(
+            mut plan: Redistribution<T>,
+            src: &Dad,
+            kind: RouteKind,
+            chunk_elems: usize,
+        ) -> Redistribution<T> {
+            let op = match kind {
+                RouteKind::Chunked => StepOp::ChunkRounds { rounds: 0, chunk_elems },
+                RouteKind::Direct => StepOp::DirectExchange,
+                RouteKind::AllgatherSlice => StepOp::Allgather,
+            };
+            plan.route = Some(RedistRoute {
+                kind,
+                steps: vec![RouteStep { op, bytes: 0, peak_bytes: 0 }],
+                peak_bytes: 0,
+                est_time: Duration::ZERO,
+                budget_bytes: u64::MAX,
+                fits: true,
+            });
+            if kind == RouteKind::AllgatherSlice {
+                plan.src = Some(src.clone());
+            }
+            plan
+        }
+
+        fn value(idx: &[usize], cols: usize) -> i64 {
+            (idx[0] * cols + idx[1]) as i64 + 1
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(24))]
+
+            #[test]
+            fn forced_chunked_inter_transfer_matches_direct(
+                rows in 4..16usize,
+                cols in 3..10usize,
+                src_family in 0..5u8,
+                dst_family in 0..5u8,
+                chunk_elems in 1..5usize,
+                seed in 0..u64::MAX,
+            ) {
+                let src = make_dad(rows, cols, src_family, seed);
+                let dst = make_dad(rows, cols, dst_family, seed ^ 0x5851_f42d_4c95_7f2d);
+                let (m, n) = (src.nranks(), dst.nranks());
+                Universe::run(&[m, n], move |_, ctx| {
+                    let rank = ctx.comm.rank();
+                    if ctx.program == 0 {
+                        let ic = ctx.intercomm(1);
+                        let local = LocalArray::from_fn(&src, rank, |idx| value(idx, cols));
+                        Redistribution::new(&src, &dst, rank, Side::Send, None)
+                            .send(ic, &local, 0)
+                            .unwrap();
+                        let plan = Redistribution::new(&src, &dst, rank, Side::Send, None);
+                        forced(plan, &src, RouteKind::Chunked, chunk_elems)
+                            .send(ic, &local, 1)
+                            .unwrap();
+                    } else {
+                        let ic = ctx.intercomm(0);
+                        let mut want: LocalArray<i64> = LocalArray::allocate(&dst, rank);
+                        Redistribution::new(&src, &dst, rank, Side::Recv, None)
+                            .recv(ic, &mut want, 0)
+                            .unwrap();
+                        let plan = Redistribution::new(&src, &dst, rank, Side::Recv, None);
+                        let mut plan = forced(plan, &src, RouteKind::Chunked, chunk_elems);
+                        let mut got: LocalArray<i64> = LocalArray::allocate(&dst, rank);
+                        let moved = plan.recv(ic, &mut got, 1).unwrap();
+                        assert_eq!(moved, want.len(), "chunked route moves every element");
+                        assert_eq!(got, want, "chunked != direct for {src:?} -> {dst:?}");
+                    }
+                });
+            }
+
+            #[test]
+            fn forced_within_routes_match_direct(
+                rows in 4..16usize,
+                cols in 3..10usize,
+                family in 0..5u8,
+                chunk_elems in 1..4usize,
+                seed in 0..u64::MAX,
+            ) {
+                let src = make_dad(rows, cols, family, seed);
+                // One rank space: a gen-block destination over exactly the
+                // source's rank count (empty blocks allowed).
+                let p = src.nranks();
+                let mut s2 = seed ^ 0xabcd_ef01;
+                let mut sizes = vec![0usize; p];
+                for _ in 0..rows {
+                    sizes[pick(&mut s2, 0, p)] += 1;
+                }
+                let dst = Dad::regular(
+                    Template::new(
+                        Extents::new([rows, cols]),
+                        vec![AxisDist::GenBlock { sizes }, AxisDist::Collapsed],
+                    )
+                    .unwrap(),
+                );
+                World::run(p, move |proc| {
+                    let comm = proc.world();
+                    let rank = comm.rank();
+                    let src_local = LocalArray::from_fn(&src, rank, |idx| value(idx, cols));
+                    let mut want: LocalArray<i64> = LocalArray::allocate(&dst, rank);
+                    Redistribution::new(&src, &dst, rank, Side::Within, None)
+                        .within(comm, &src_local, &mut want, 0)
+                        .unwrap();
+                    for (tag, kind) in
+                        [(1, RouteKind::Chunked), (2, RouteKind::AllgatherSlice), (3, RouteKind::Direct)]
+                    {
+                        let plan = Redistribution::new(&src, &dst, rank, Side::Within, None);
+                        let mut plan = forced(plan, &src, kind, chunk_elems);
+                        let mut got: LocalArray<i64> = LocalArray::allocate(&dst, rank);
+                        plan.within(comm, &src_local, &mut got, tag).unwrap();
+                        assert_eq!(got, want, "{kind:?} != direct for {src:?} -> {dst:?}");
+                    }
+                });
+            }
+        }
     }
 
     #[test]
